@@ -52,7 +52,7 @@ import ray.data
 from ndap_data_validator_ray.functions.hashing import word_ngrams
 from ndap_data_validator_ray.functions.text import repetition_stats
 from ndap_data_validator_ray.stages.decontaminate import collect_gram_set
-from ndap_data_validator_ray.stages.groupby import BUCKET_COL, default_n_buckets, stable_bucket
+from ndap_data_validator_ray.stages.groupby import default_n_buckets, exchange, hash_partitioner
 from ndap_data_validator_ray.state import checkpoint as ckpt
 from ndap_data_validator_ray.sources import fs as vfs
 
@@ -154,11 +154,9 @@ def curate_documents(
     )
 
     def flags(batch: pd.DataFrame) -> pd.DataFrame:
-        out = _flag_batch(batch, text_col, grams_ref, min_tokens, max_top_frac, prefix_len)
-        out[BUCKET_COL] = stable_bucket(out["_prefix"], n_buckets)
-        return out
+        return _flag_batch(batch, text_col, grams_ref, min_tokens, max_top_frac, prefix_len)
 
-    drop_cols = ["_q", "_c", "_d", "_prefix", BUCKET_COL]
+    drop_cols = ["_q", "_c", "_d", "_prefix"]
     # reducers write to kept_dir/ckpt_dir themselves; when those are object
     # -store URIs the workers need the driver's AWS_* config (endpoint
     # override / credentials), which they won't have if the env was set
@@ -167,13 +165,12 @@ def curate_documents(
 
     _aws_env = {k: v for k, v in _os.environ.items() if k.startswith("AWS_")}
 
-    def dedup_write_bucket(group: pd.DataFrame) -> pd.DataFrame:
+    def dedup_write_bucket(group: pd.DataFrame, bid: int) -> pd.DataFrame:
         """Finalize ONE dedup bucket: keep decision, survivor file,
         manifest — all bucket-local, so the bucket is the resume unit."""
         import os
 
         os.environ.update(_aws_env)
-        bid = int(group[BUCKET_COL].iloc[0])
         if bid in done:  # completed in a prior attempt; counts live in its manifest
             return pd.DataFrame({"bid": pd.Series([], dtype=np.int64)})
         part = _dedup_flag(group, id_col)
@@ -210,13 +207,11 @@ def curate_documents(
         )
         return pd.DataFrame({"bid": [np.int64(bid)]})
 
-    processed = (
-        ray.data.read_parquet(data_path)
-        .map_batches(flags, batch_format="pandas")
-        .groupby(BUCKET_COL)
-        .map_groups(dedup_write_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    processed = exchange(
+        ray.data.read_parquet(data_path).map_batches(flags, batch_format="pandas"),
+        hash_partitioner(["_prefix"], n_buckets),
+        dedup_write_bucket,
+    ).to_pandas()
 
     # funnel counts fold from the MANIFESTS (commutative int sums): a
     # resumed run reports byte-identical totals, never double-counts

@@ -1608,12 +1608,12 @@ def events_last_order_asof(sf_dir: str) -> pd.DataFrame:
     )
 
     def finish(batch: pd.DataFrame) -> pd.DataFrame:
+        dates = pd.to_datetime(batch["o_orderdate"])
+        # an event before every order of its user has no match: SQL NULL
+        # (None), not the NaN that strftime gives for NaT
+        last = dates.dt.strftime("%Y-%m-%d").astype(object).where(dates.notna(), None)
         return pd.DataFrame(
-            {
-                "event_id": batch["event_id"],
-                "user_id": batch["user_id"],
-                "last_order_date": pd.to_datetime(batch["o_orderdate"]).dt.strftime("%Y-%m-%d"),
-            }
+            {"event_id": batch["event_id"], "user_id": batch["user_id"], "last_order_date": last}
         )
 
     out = joined.map_batches(finish, batch_format="pandas").to_pandas()
@@ -12288,7 +12288,8 @@ def label_propagation_parts(sf_dir: str) -> pd.DataFrame:
     from ndap_data_validator_ray.stages.groupby import (
         bucketed_groupby,
         default_n_buckets,
-        stable_bucket,
+        exchange,
+        hash_partitioner,
     )
 
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
@@ -12347,7 +12348,7 @@ def label_propagation_parts(sf_dir: str) -> pd.DataFrame:
         .materialize()
     )
 
-    def tag_edges(b: pd.DataFrame) -> pd.DataFrame:
+    def edge_leg(b: pd.DataFrame) -> pd.DataFrame:
         k = b["u"].to_numpy(np.int64)
         return pd.DataFrame(
             {
@@ -12355,11 +12356,10 @@ def label_propagation_parts(sf_dir: str) -> pd.DataFrame:
                 "val": b["v"].to_numpy(np.int64),
                 "lbl": np.full(len(k), -1, dtype=np.int64),
                 "side": np.zeros(len(k), dtype=np.int64),
-                "_lp_bucket": stable_bucket(pd.Series(k), nb),
             }
         )
 
-    def tag_labels(b: pd.DataFrame) -> pd.DataFrame:
+    def label_leg(b: pd.DataFrame) -> pd.DataFrame:
         k = b["node"].to_numpy(np.int64)
         return pd.DataFrame(
             {
@@ -12367,11 +12367,10 @@ def label_propagation_parts(sf_dir: str) -> pd.DataFrame:
                 "val": np.full(len(k), -1, dtype=np.int64),
                 "lbl": b["lbl"].to_numpy(np.int64),
                 "side": np.ones(len(k), dtype=np.int64),
-                "_lp_bucket": stable_bucket(pd.Series(k), nb),
             }
         )
 
-    def gather(g: pd.DataFrame) -> pd.DataFrame:
+    def gather(g: pd.DataFrame, _pid: int) -> pd.DataFrame:
         lut = g.loc[g["side"] == 1].drop_duplicates("k").set_index("k")["lbl"]
         ef = g[g["side"] == 0]
         lb = ef["k"].map(lut)
@@ -12384,10 +12383,7 @@ def label_propagation_parts(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    def tag_votes(b: pd.DataFrame) -> pd.DataFrame:
-        return b.assign(_lp_bucket=stable_bucket(b["node"], nb))
-
-    def vote(g: pd.DataFrame) -> pd.DataFrame:
+    def vote(g: pd.DataFrame, _pid: int) -> pd.DataFrame:
         cur = g.loc[g["side"] == 1, ["node", "lbl"]].drop_duplicates("node")
         props = g[g["side"] == 0]
         props = props[~props["node"].isin(cur["node"])]
@@ -12399,18 +12395,19 @@ def label_propagation_parts(sf_dir: str) -> pd.DataFrame:
         return cur.reset_index(drop=True)
 
     for _round in range(2):
-        tagged = sym.map_batches(tag_edges, batch_format="pandas").union(
-            labels.map_batches(tag_labels, batch_format="pandas")
+        proposals = exchange(
+            [
+                sym.map_batches(edge_leg, batch_format="pandas"),
+                labels.map_batches(label_leg, batch_format="pandas"),
+            ],
+            hash_partitioner(["k"], nb),
+            gather,
         )
-        proposals = tagged.groupby("_lp_bucket").map_groups(gather, batch_format="pandas")
-        votes = proposals.union(
-            labels.map_batches(
-                lambda b: b.assign(side=np.ones(len(b), dtype=np.int64)), batch_format="pandas"
-            )
-        ).map_batches(tag_votes, batch_format="pandas")
+        current = labels.map_batches(
+            lambda b: b.assign(side=np.ones(len(b), dtype=np.int64)), batch_format="pandas"
+        )
         labels = (
-            votes.groupby("_lp_bucket")
-            .map_groups(vote, batch_format="pandas")
+            exchange([proposals, current], hash_partitioner(["node"], nb), vote)
             .repartition(min(nb, 32))
             .materialize()
         )

@@ -124,6 +124,19 @@ def _plan_violations(spec: ClipTableSpec) -> dict[str, np.ndarray]:
     return out
 
 
+def _row_ids(idx: np.ndarray, plan: dict[str, np.ndarray]) -> np.ndarray:
+    """The n of ``clip-{n:012d}`` at absolute rows ``idx``: the row index,
+    except that a V1 duplicate row carries the id of a deterministic
+    earlier row (Knuth hash).  The generator and the goldens both read ids
+    from here, so a chain (a duplicate whose source is itself a duplicate
+    row) cannot make them disagree."""
+    ids = np.asarray(idx, dtype=np.int64).copy()
+    dup = np.isin(ids, plan[V_DUP])
+    src = ids[dup].astype(np.uint64)
+    ids[dup] = (src * np.uint64(2654435761) % np.uint64(4294967296) % src).astype(np.int64)
+    return ids
+
+
 def _row_params(spec: ClipTableSpec, idx: np.ndarray) -> dict[str, np.ndarray]:
     """Vectorized clean-row parameters for absolute row indices ``idx``."""
     # one RNG per row keeps params independent of shard boundaries
@@ -173,6 +186,7 @@ def generate_shard(spec: ClipTableSpec, shard: int) -> pa.Table:
     plan = _plan_violations(spec)
     in_kind = {k: np.isin(idx, v) for k, v in plan.items()}
     params = _row_params(spec, idx)
+    ids = _row_ids(idx, plan)
 
     drift_start = int(spec.n_rows * 0.95) if spec.drift_tail else spec.n_rows
 
@@ -191,14 +205,11 @@ def generate_shard(spec: ClipTableSpec, shard: int) -> pa.Table:
         if i >= drift_start:
             dur = min(spec.dur_ms_hi * 4, dur * 3 + 500)  # V8 shifted duration distribution
 
-        cid = f"clip-{i:012d}"
-        gen_index = i
+        gen_index = int(ids[j])
+        cid = f"clip-{gen_index:012d}"
         if in_kind[V_DUP][j]:
             # true duplicate of an earlier row: same id, bytes, metadata
-            src = (i * 2654435761 % 4294967296) % i  # deterministic earlier row (Knuth hash)
-            cid = f"clip-{src:012d}"
-            gen_index = src
-            src_params = _row_params(spec, np.array([src]))
+            src_params = _row_params(spec, np.array([gen_index]))
             sr = int(src_params["sr_hz"][0])
             dur = int(src_params["dur_ms"][0])
             codec = str(src_params["codec"][0])
@@ -271,15 +282,17 @@ def generate_shard(spec: ClipTableSpec, shard: int) -> pa.Table:
 
 
 def compute_goldens(spec: ClipTableSpec) -> ClipGoldens:
-    """Expected violation row sets (clip_ids), straight from the plan."""
+    """Expected violation row sets (clip_ids), from the plan and the
+    generator's own id function: V1 lists every id that occurs more than
+    once among all rows (the hot copies of row 0 included)."""
     plan = _plan_violations(spec)
     g = ClipGoldens(n_rows=spec.n_rows + (spec.hot_dup_copies or 0), drift_tail=spec.drift_tail)
-    dup_ids = sorted({f"clip-{(int(i) * 2654435761 % 4294967296) % int(i):012d}" for i in plan[V_DUP]})
-    if spec.hot_dup_copies:
-        dup_ids = sorted(set(dup_ids) | {f"clip-{0:012d}"})
-    g.violations[V_DUP] = dup_ids
+    ids = _row_ids(np.arange(spec.n_rows, dtype=np.int64), plan)
+    hot = np.zeros(spec.hot_dup_copies, dtype=np.int64)  # the hot copies carry row 0's id
+    vals, counts = np.unique(np.concatenate([ids, hot]), return_counts=True)
+    g.violations[V_DUP] = [f"clip-{int(n):012d}" for n in vals[counts > 1]]
     for kind in (V_NULL_TRANSCRIPT, V_CORRUPT_BYTES, V_SR_MISMATCH, V_DUR_MISMATCH, V_BAD_CODEC, V_BAD_MEASURE, V_SILENT, V_CLIPPED):
-        g.violations[kind] = sorted(f"clip-{int(i):012d}" for i in plan[kind])
+        g.violations[kind] = sorted(f"clip-{int(n):012d}" for n in ids[plan[kind]])
     return g
 
 

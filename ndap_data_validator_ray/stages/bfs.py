@@ -15,18 +15,18 @@ within the budget come back as -1 ("farther than ``rounds`` hops"),
 which is the semantics a curation filter actually wants (keep documents
 within k hops of a seed) rather than exact eccentricity.
 
-Per round, ONE bucketed exchange (the cc.py fused-gather shape): edge
-rows (k=u, val=v) and distance rows (k=node, val=dist) ride the same
-exchange bucketed on k; each reducer builds the bucket-local dist lut
-and emits a proposal ``(v, dist(u) + 1)`` for every edge whose tail is
-currently reached.  Proposals union the standing distances into a
-bucketed min-per-node fold.  Labels are settled (repartition +
+Per round, ONE ``stages/groupby.exchange`` (the cc.py fused-gather
+shape): edge rows (k=u, val=v) and distance rows (k=node, val=dist) ride
+the same exchange bucketed on k; each reducer builds the bucket-local
+dist lut and emits a proposal ``(v, dist(u) + 1)`` for every edge whose
+tail is currently reached.  Proposals union the standing distances into a
+min-per-node ``bucketed_groupby``.  Labels are settled (repartition +
 materialize) between rounds — the round-4 lesson: unioned mapped views
 double the block count per round and wall time grows geometrically
 without the pin.
 
-Scale notes: every exchanged row is a homogeneous (k, val, side, bucket)
-int64 tuple (the cc.py dtype contract — no typed-null padding can upcast
+Scale notes: every gathered row is a homogeneous (k, val, side) int64
+tuple (the cc.py dtype contract — no typed-null padding can upcast
 ids); unreached nodes carry the INF sentinel but propose nothing, so the
 proposal volume per round is O(edges touching the reached set), not
 O(E x rounds) on a sparse frontier graph.  Nothing graph-sized ever
@@ -41,29 +41,20 @@ import pandas as pd
 import ray
 import ray.data
 
-from ndap_data_validator_ray.stages.groupby import default_n_buckets, stable_bucket
-
-_B = "_bfs_bucket"
-_COLS = ["k", "val", "side", _B]
+from ndap_data_validator_ray.stages.groupby import (
+    bucketed_groupby,
+    default_n_buckets,
+    exchange,
+    hash_partitioner,
+)
 
 # Unreached sentinel: far above any real hop count, far below int64
 # overflow even after += rounds increments.
 INF_HOPS = np.int64(1) << 40
 
 
-def _min_dist_by_node(parts: "ray.data.Dataset", n_buckets: int) -> "ray.data.Dataset":
-    """(node, dist) rows -> min dist per node, bucketed two-phase."""
-
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        g = batch.groupby("node", as_index=False)["dist"].min()
-        return g.assign(**{_B: stable_bucket(g["node"], n_buckets)})
-
-    def merge(group: pd.DataFrame) -> pd.DataFrame:
-        return group.drop(columns=[_B]).groupby("node", as_index=False)["dist"].min()
-
-    return parts.map_batches(partial, batch_format="pandas").groupby(_B).map_groups(
-        merge, batch_format="pandas"
-    )
+def _min_dist(batch: pd.DataFrame) -> pd.DataFrame:
+    return batch.groupby("node", as_index=False)["dist"].min()
 
 
 def _relax_round(
@@ -71,33 +62,24 @@ def _relax_round(
 ) -> "ray.data.Dataset":
     """One relaxation round as one lazy chain ending in the min fold."""
 
-    def tag_edges(b: pd.DataFrame) -> pd.DataFrame:
+    def edge_leg(b: pd.DataFrame) -> pd.DataFrame:
         k = b["u"].to_numpy(np.int64)
         return pd.DataFrame(
-            {
-                "k": k,
-                "val": b["v"].to_numpy(np.int64),
-                "side": np.zeros(len(k), dtype=np.int64),
-                _B: stable_bucket(pd.Series(k), n_buckets),
-            }
-        )[_COLS]
+            {"k": k, "val": b["v"].to_numpy(np.int64), "side": np.zeros(len(k), dtype=np.int64)}
+        )
 
-    def tag_dists(b: pd.DataFrame) -> pd.DataFrame:
+    def dist_leg(b: pd.DataFrame) -> pd.DataFrame:
         k = b["node"].to_numpy(np.int64)
         return pd.DataFrame(
-            {
-                "k": k,
-                "val": b["dist"].to_numpy(np.int64),
-                "side": np.ones(len(k), dtype=np.int64),
-                _B: stable_bucket(pd.Series(k), n_buckets),
-            }
-        )[_COLS]
+            {"k": k, "val": b["dist"].to_numpy(np.int64), "side": np.ones(len(k), dtype=np.int64)}
+        )
 
-    tagged = sym.map_batches(tag_edges, batch_format="pandas").union(
-        dists.map_batches(tag_dists, batch_format="pandas")
-    )
+    legs = [
+        sym.map_batches(edge_leg, batch_format="pandas"),
+        dists.map_batches(dist_leg, batch_format="pandas"),
+    ]
 
-    def reduce(group: pd.DataFrame) -> pd.DataFrame:
+    def reduce(group: pd.DataFrame, _pid: int) -> pd.DataFrame:
         lut = group.loc[group["side"] == 1].set_index("k")["val"]
         ef = group[group["side"] == 0]
         if ef.empty:
@@ -113,8 +95,8 @@ def _relax_round(
             }
         )
 
-    proposals = tagged.groupby(_B).map_groups(reduce, batch_format="pandas")
-    return _min_dist_by_node(proposals.union(dists), n_buckets)
+    proposals = exchange(legs, hash_partitioner(["k"], n_buckets), reduce)
+    return bucketed_groupby(proposals.union(dists), ["node"], _min_dist, _min_dist, n_buckets)
 
 
 def distributed_bfs_hops(
@@ -182,7 +164,7 @@ def distributed_bfs_hops(
     def settle(ds: "ray.data.Dataset") -> "ray.data.Dataset":
         return ds.repartition(min(nb, 32)).materialize()
 
-    dists = settle(_min_dist_by_node(seeds, nb))
+    dists = settle(bucketed_groupby(seeds, ["node"], _min_dist, _min_dist, nb))
     for _round in range(rounds):
         dists = settle(_relax_round(sym, dists, nb))
 

@@ -34,10 +34,12 @@ overhead at small scale):
  The sum runs over the round's MATERIALIZED output (cheap block scan),
  so each round costs one shuffle execution + one trivial one.
 
-Every exchanged row is a homogeneous (k, val, side, bucket) int64 tuple
-— one schema on both union legs, so Ray's groupby never sees mixed
-blocks and no typed-null padding can upcast ids (the repo's
-bucketed-join dtype contract).
+Both exchanges go through ``stages/groupby``: the gather is one
+``exchange`` over three legs keyed on k, the min fold a
+``bucketed_groupby`` on node.  Every gathered row is a homogeneous
+(k, val, side) int64 tuple — one schema on all union legs, so Ray's
+groupby never sees mixed blocks and no typed-null padding can upcast ids
+(the reason the join family uses ``cogroup``).
 
 Output: Dataset of (node, component) where component = min node id of
 the node's component (deterministic; matches the driver union-find's
@@ -52,10 +54,12 @@ import pandas as pd
 import ray
 import ray.data
 
-from ndap_data_validator_ray.stages.groupby import default_n_buckets, stable_bucket
-
-_B = "_cc_bucket"
-_COLS = ["k", "val", "side", _B]
+from ndap_data_validator_ray.stages.groupby import (
+    bucketed_groupby,
+    default_n_buckets,
+    exchange,
+    hash_partitioner,
+)
 
 # Symmetric-edge-row cap for the driver fast path (module attr so tests can
 # monkeypatch it; resolved at call time like broadcast.DEFAULT_BROADCAST_CAP).
@@ -120,24 +124,13 @@ def _small_graph_components(
     return nodes.map_batches(lookup, batch_format="pandas")
 
 
-def _min_label_by_node(parts: "ray.data.Dataset", n_buckets: int) -> "ray.data.Dataset":
-    """(node, label) rows -> min label per node, bucketed two-phase."""
-
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        g = batch.groupby("node", as_index=False)["label"].min()
-        return g.assign(**{_B: stable_bucket(g["node"], n_buckets)})
-
-    def merge(group: pd.DataFrame) -> pd.DataFrame:
-        return group.drop(columns=[_B]).groupby("node", as_index=False)["label"].min()
-
-    return parts.map_batches(partial, batch_format="pandas").groupby(_B).map_groups(
-        merge, batch_format="pandas"
-    )
+def _min_label(batch: pd.DataFrame) -> pd.DataFrame:
+    return batch.groupby("node", as_index=False)["label"].min()
 
 
-def _tag(side: int, key: str, val: str, n_buckets: int):
-    """Normalize a frame to the homogeneous (k, val, side, bucket) int64
-    exchange layout, bucketed on ``key``."""
+def _leg(side: int, key: str, val: str):
+    """Normalize a frame to the homogeneous (k, val, side) int64 exchange
+    layout, keyed on ``key``."""
 
     def fn(batch: pd.DataFrame) -> pd.DataFrame:
         k = batch[key].to_numpy().astype(np.int64)
@@ -146,9 +139,8 @@ def _tag(side: int, key: str, val: str, n_buckets: int):
                 "k": k,
                 "val": batch[val].to_numpy().astype(np.int64),
                 "side": np.full(len(k), side, dtype=np.int64),
-                _B: stable_bucket(pd.Series(k), n_buckets),
             }
-        )[_COLS]
+        )
 
     return fn
 
@@ -161,13 +153,13 @@ def _fused_round(
     (label rows re-keyed by label(v)) share a single bucketed gather
     against the label lut, then min-fold with the self labels.  ``labels``
     must be MATERIALIZED (it feeds three legs)."""
-    tagged = (
-        sym.map_batches(_tag(0, "u", "v", n_buckets), batch_format="pandas")
-        .union(labels.map_batches(_tag(1, "node", "label", n_buckets), batch_format="pandas"))
-        .union(labels.map_batches(_tag(2, "label", "node", n_buckets), batch_format="pandas"))
-    )
+    legs = [
+        sym.map_batches(_leg(0, "u", "v"), batch_format="pandas"),
+        labels.map_batches(_leg(1, "node", "label"), batch_format="pandas"),
+        labels.map_batches(_leg(2, "label", "node"), batch_format="pandas"),
+    ]
 
-    def reduce(group: pd.DataFrame) -> pd.DataFrame:
+    def reduce(group: pd.DataFrame, _pid: int) -> pd.DataFrame:
         # side 1 = lut rows (node -> label, unique per node); sides 0 and 2
         # are both "emit (val, lut[k])" gathers — one vectorized map
         lut = group.loc[group["side"] == 1].set_index("k")["val"]
@@ -182,8 +174,8 @@ def _fused_round(
             {"node": lf["val"].to_numpy()[keep], "label": lab[keep].astype(np.int64).to_numpy()}
         )
 
-    proposals = tagged.groupby(_B).map_groups(reduce, batch_format="pandas")
-    return _min_label_by_node(proposals.union(labels), n_buckets)
+    proposals = exchange(legs, hash_partitioner(["k"], n_buckets), reduce)
+    return bucketed_groupby(proposals.union(labels), ["node"], _min_label, _min_label, n_buckets)
 
 
 def distributed_connected_components(
@@ -278,7 +270,7 @@ def distributed_connected_components(
         O(1) in Ray overhead."""
         return ds.repartition(min(nb, 32)).materialize()
 
-    labels = settle(_min_label_by_node(seeds, nb))
+    labels = settle(bucketed_groupby(seeds, ["node"], _min_label, _min_label, nb))
 
     def label_sum(ds: "ray.data.Dataset") -> int:
         parts = ds.map_batches(

@@ -128,7 +128,7 @@ def _split_sentinels(
     return pairs, n_pairs == 0
 
 
-_VCOLS = ["ida", "idb", "_pl", "_pla", "_vr", "_vb"]
+_VCOLS = ["ida", "idb", "_pl", "_pla", "_vr"]
 
 
 def verify_pairs_distributed(
@@ -167,9 +167,10 @@ def verify_pairs_distributed(
     ``scorer`` as None — the pair is unverifiable, and SQL NOT-EXISTS-style
     callers would never have emitted it.
     """
-    from ndap_data_validator_ray.stages.groupby import default_n_buckets, stable_bucket
+    from ndap_data_validator_ray.stages.groupby import default_n_buckets, exchange, hash_partitioner
 
     nb = n_buckets or default_n_buckets()
+    by_ida = hash_partitioner(["ida"], nb)  # both exchanges key on the "ida" column
 
     def _none(n: int) -> np.ndarray:
         return np.full(n, None, dtype=object)
@@ -183,9 +184,8 @@ def verify_pairs_distributed(
                 "_pl": _none(n),
                 "_pla": _none(n),
                 "_vr": np.zeros(n, dtype=np.int64),
-                "_vb": stable_bucket(b["id_a"], nb),
             }
-        )[_VCOLS]
+        )
 
     def tag_payload(b: pd.DataFrame) -> pd.DataFrame:
         ids = b[id_col]
@@ -197,14 +197,13 @@ def verify_pairs_distributed(
                 "_pl": b[payload_col].to_numpy(dtype=object),
                 "_pla": _none(n),
                 "_vr": np.ones(n, dtype=np.int64),
-                "_vb": stable_bucket(ids, nb),
             }
-        )[_VCOLS]
+        )
 
     def _empty_like(g: pd.DataFrame) -> pd.DataFrame:
         return g.iloc[0:0][_VCOLS]
 
-    def attach_a(g: pd.DataFrame) -> pd.DataFrame:
+    def attach_a(g: pd.DataFrame, _pid: int) -> pd.DataFrame:
         p = g[g["_vr"] == 0]
         if p.empty:
             return _empty_like(g)
@@ -222,11 +221,10 @@ def verify_pairs_distributed(
                 "_pl": _none(n),
                 "_pla": pla.to_numpy(dtype=object),
                 "_vr": np.zeros(n, dtype=np.int64),
-                "_vb": stable_bucket(p["idb"], nb),
             }
-        )[_VCOLS]
+        )
 
-    def attach_b_and_score(g: pd.DataFrame) -> pd.DataFrame:
+    def attach_b_and_score(g: pd.DataFrame, _pid: int) -> pd.DataFrame:
         p = g[g["_vr"] == 0]
         pl = g[g["_vr"] == 1]
         lut = dict(zip(pl["ida"], pl["_pl"]))
@@ -245,15 +243,14 @@ def verify_pairs_distributed(
     # expensive) payload derivation (signatures, gram sets) is computed a
     # single time instead of per exchange; blocks spill if corpus-sized
     payload = payload.materialize()
-    tagged1 = cands.map_batches(tag_pairs, batch_format="pandas").union(
-        payload.map_batches(tag_payload, batch_format="pandas")
-    )
+    payload_leg = payload.map_batches(tag_payload, batch_format="pandas")
     # materialize between exchanges: groupby's key validation peeks the
     # schema, which would execute the shuffle-ending phase-1 pipeline once
     # just for the schema (the bucketed_join performance contract)
-    phase1 = tagged1.groupby("_vb").map_groups(attach_a, batch_format="pandas").materialize()
-    tagged2 = phase1.union(payload.map_batches(tag_payload, batch_format="pandas"))
-    scored = tagged2.groupby("_vb").map_groups(attach_b_and_score, batch_format="pandas")
+    phase1 = exchange(
+        [cands.map_batches(tag_pairs, batch_format="pandas"), payload_leg], by_ida, attach_a
+    ).materialize()
+    scored = exchange([phase1, payload_leg], by_ida, attach_b_and_score)
     return scored if as_dataset else scored.to_pandas()
 
 

@@ -22,7 +22,7 @@ import ray
 import ray.data
 
 from ndap_data_validator_ray.functions.strdist import levenshtein_batch
-from ndap_data_validator_ray.stages.groupby import BUCKET_COL, bucketed_groupby, stable_bucket
+from ndap_data_validator_ray.stages.groupby import bucketed_groupby, exchange, hash_partitioner
 
 
 def _last_token(names: pd.Series) -> pd.Series:
@@ -52,12 +52,9 @@ def fuzzy_name_pairs(
     distinct = bucketed_groupby(ds, [name_col], count_partial, count_merge, n_buckets=n_buckets)
 
     def tag_block(batch: pd.DataFrame) -> pd.DataFrame:
-        out = batch.copy()
-        out["_block"] = block_fn(batch[name_col])
-        out[BUCKET_COL] = stable_bucket(out["_block"], n_buckets)
-        return out
+        return batch.assign(_block=block_fn(batch[name_col]))
 
-    def verify_bucket(group: pd.DataFrame) -> pd.DataFrame:
+    def verify_bucket(group: pd.DataFrame, _pid: int) -> pd.DataFrame:
         frames = []
         oversized = 0
         for _, blk in group.groupby("_block", sort=False):
@@ -111,12 +108,11 @@ def fuzzy_name_pairs(
             )
         return pd.concat(frames, ignore_index=True)
 
-    out = (
-        distinct.map_batches(tag_block, batch_format="pandas")
-        .groupby(BUCKET_COL)
-        .map_groups(lambda g: verify_bucket(g.drop(columns=[BUCKET_COL])), batch_format="pandas")
-        .to_pandas()
-    )
+    out = exchange(
+        distinct.map_batches(tag_block, batch_format="pandas"),
+        hash_partitioner(["_block"], n_buckets),
+        verify_bucket,
+    ).to_pandas()
     if stats is not None:
         stats["oversized_blocks"] = int(out["_oversized"].sum())
     out = out[out["dist"] >= 0].drop(columns=["_oversized"])

@@ -2,10 +2,12 @@
 
 Ray Data's native ``Dataset.join`` exists in this version but the portable,
 skew-controllable pattern (ray_guide "Joins and lookups") is an explicit
-bucketed hash join: tag both sides with ``bucket = stable_hash(key) % B``,
-union them with a side marker, hash-shuffle on the SMALL bucket domain
-(same trick as stages/groupby.py — the sort shuffle never sees the raw key
-space), and pandas-merge the two sides inside each bucket group.
+bucketed hash join: both sides go through ``stages/groupby.cogroup`` (the
+shared ``exchange`` on ``bucket = stable_hash(key) % B``, both legs padded
+to one Arrow schema and split again per bucket), and each bucket
+pandas-merges its two sides.  The partition function this module passes
+in sprays null keys round-robin and salts hot keys; build-side
+replication for salting is a map before the exchange.
 
 Use only when BOTH sides are large: a small side should be broadcast with
 ``ray.put`` + per-batch map instead (see pipelines/queries.py
@@ -24,9 +26,9 @@ import pandas as pd
 
 import ray.data
 
-from ndap_data_validator_ray.stages.groupby import BUCKET_COL, default_n_buckets, stable_bucket
+from ndap_data_validator_ray.stages.groupby import cogroup, default_n_buckets, hash_partitioner
 
-_SIDE_COL = "_join_side"
+_SALT_COL = "_salt"
 
 
 def detect_hot_keys(
@@ -95,6 +97,7 @@ def bucketed_join(
     """
 
     import pyarrow as pa
+    import pyarrow.compute as pc
 
     n_buckets = n_buckets or default_n_buckets()
     if hot_keys:
@@ -105,20 +108,14 @@ def bucketed_join(
         salt = max(2, min(int(salt), n_buckets))
     hot_arr = np.asarray(sorted(hot_keys)) if hot_keys else None
 
-    def _arrow_fields(ds: "ray.data.Dataset") -> list[pa.Field]:
-        from ndap_data_validator_ray.stages.schema_util import arrow_field_types
+    from ndap_data_validator_ray.stages.schema_util import arrow_field_types
 
-        return [pa.field(n, t) for n, t in arrow_field_types(ds).items()]
-
-    left_fields = _arrow_fields(left)
-    right_fields = _arrow_fields(right)
-    left_cols = [f.name for f in left_fields]
-    right_cols = [f.name for f in right_fields]
-    # union schema: left's columns, then right's extras (typed nulls pad
-    # the missing side so Dataset.union type-checks)
-    all_fields: list[pa.Field] = list(left_fields)
-    all_fields += [f for f in right_fields if f.name not in left_cols]
-    union_types = {f.name: f.type for f in all_fields}
+    left_schema = pa.schema(list(arrow_field_types(left).items()))
+    right_schema = pa.schema(list(arrow_field_types(right).items()))
+    left_cols = left_schema.names
+    right_cols = right_schema.names
+    # cogroup's union rule: on a shared column the left type wins
+    union_types = {**{f.name: f.type for f in right_schema}, **{f.name: f.type for f in left_schema}}
 
     # explicit output schema (pandas-merge column layout, Arrow types from
     # the union schema) so int64 keys survive the per-bucket pandas merge —
@@ -137,62 +134,51 @@ def bucketed_join(
         ]
         out_schema = pa.schema(out_fields)
 
-    def tag(side: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            cols = {}
-            for f in all_fields:
-                if f.name in batch.column_names:
-                    col = batch[f.name]
-                    cols[f.name] = col.cast(f.type) if col.type != f.type else col
-                else:
-                    cols[f.name] = pa.nulls(n, f.type)
-            key_df = pd.DataFrame({c: cols[c].to_pandas() for c in on})
-            base = stable_bucket(key_df if len(on) > 1 else key_df[on[0]], n_buckets)
-            # null keys never match anything (SQL equality), so they don't
-            # need co-location — spread them round-robin instead of letting
-            # every null-keyed row hash into one hot bucket (at scale a
-            # high-null key column would otherwise serialize on one reducer)
-            null_mask = key_df.isna().any(axis=1).to_numpy()
-            if null_mask.any():
-                base = np.where(null_mask, np.arange(n) % n_buckets, base)
-            hot_mask = None
-            if hot_arr is not None and n:
-                hot_mask = np.isin(key_df[on[0]].to_numpy(), hot_arr)
-            if side == 0 and hot_mask is not None and hot_mask.any():
-                # spray hot probe rows over the salt window of buckets
-                base = np.where(hot_mask, (base + np.arange(n) % salt) % n_buckets, base)
-            cols[BUCKET_COL] = pa.array(base, pa.int64())
-            cols[_SIDE_COL] = pa.array(np.full(n, side, dtype=np.int8))
-            t0 = pa.table(cols)
-            if side == 1 and hot_mask is not None and hot_mask.any():
-                # replicate hot build rows into every salted bucket
-                idx = np.flatnonzero(hot_mask)
-                hot_tbl = t0.take(idx)
-                pos = t0.column_names.index(BUCKET_COL)
-                copies = [
-                    hot_tbl.set_column(
-                        pos, BUCKET_COL, pa.array((base[idx] + s) % n_buckets, pa.int64())
-                    )
-                    for s in range(1, salt)
-                ]
-                return pa.concat_tables([t0] + copies)
-            return t0
+    legs = [(left, left_schema), (right, right_schema)]
+    if hot_arr is not None:
+        # salt: a hot probe row goes to one of ``salt`` consecutive buckets
+        # (its _salt offset); the matching build rows are replicated once
+        # per offset, so every probe row still meets its whole key group
+        salt_field = pa.field(_SALT_COL, pa.int64())
 
-        return fn
+        def is_hot(batch: pa.Table) -> np.ndarray:
+            return np.isin(batch[on[0]].to_pandas().to_numpy(), hot_arr)
 
-    tagged = left.map_batches(tag(0), batch_format="pyarrow").union(
-        right.map_batches(tag(1), batch_format="pyarrow")
-    )
+        def spray(batch: pa.Table) -> pa.Table:
+            offs = np.where(is_hot(batch), np.arange(batch.num_rows) % salt, 0)
+            return batch.append_column(salt_field, pa.array(offs, pa.int64()))
 
-    import pyarrow.compute as pc
+        def replicate(batch: pa.Table) -> pa.Table:
+            hot = batch.filter(pa.array(is_hot(batch)))
+            copies = [
+                t.append_column(salt_field, pa.array(np.full(t.num_rows, s), pa.int64()))
+                for s, t in [(0, batch)] + [(s, hot) for s in range(1, salt)]
+            ]
+            return pa.concat_tables(copies)
 
-    def merge_bucket(group: pa.Table) -> pa.Table:
-        # split sides while still Arrow so real values never share a pandas
-        # column with the other side's typed-null padding (float64 upcast)
-        side = group[_SIDE_COL]
-        l = group.filter(pc.equal(side, 0)).select(left_cols).to_pandas()
-        r = group.filter(pc.equal(side, 1)).select(right_cols).to_pandas()
+        legs = [
+            (left.map_batches(spray, batch_format="pyarrow"), left_schema.append(salt_field)),
+            (right.map_batches(replicate, batch_format="pyarrow"), right_schema.append(salt_field)),
+        ]
+
+    key_bucket = hash_partitioner(on, n_buckets)
+
+    def partition_of(batch: pa.Table) -> np.ndarray:
+        base = key_bucket(batch)
+        if _SALT_COL in batch.column_names:
+            base = (base + batch[_SALT_COL].to_numpy()) % n_buckets
+        # null keys never match anything (SQL equality), so they don't
+        # need co-location — spread them round-robin instead of letting
+        # every null-keyed row hash into one hot bucket (at scale a
+        # high-null key column would otherwise serialize on one reducer)
+        null_mask = np.zeros(batch.num_rows, dtype=bool)
+        for c in on:
+            null_mask |= pc.is_null(batch[c], nan_is_null=True).to_numpy(zero_copy_only=False)
+        return np.where(null_mask, np.arange(batch.num_rows) % n_buckets, base)
+
+    def merge_bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        l = lt.select(left_cols).to_pandas()
+        r = rt.select(right_cols).to_pandas()
         if how == "anti":
             # SQL NOT EXISTS semantics: NULL never equals NULL, so a
             # null-keyed probe row has no match and is KEPT (pandas merge
@@ -238,4 +224,4 @@ def bucketed_join(
             merged = l.merge(r, on=on, how=how, suffixes=suffixes)
         return pa.Table.from_pandas(merged[out_schema.names], schema=out_schema, preserve_index=False).replace_schema_metadata(None)
 
-    return tagged.groupby(BUCKET_COL).map_groups(merge_bucket, batch_format="pyarrow")
+    return cogroup(legs, merge_bucket, partition_of)

@@ -31,7 +31,7 @@ import pandas as pd
 
 import ray.data
 
-from ndap_data_validator_ray.stages.groupby import BUCKET_COL, default_n_buckets, stable_bucket
+from ndap_data_validator_ray.stages.groupby import default_n_buckets, exchange, hash_partitioner
 
 _BIN_STRIDE = 1 << 40
 
@@ -78,21 +78,15 @@ def pack_bins(
     owns its bin)."""
     nb = n_buckets or default_n_buckets()
 
-    def tag(batch: pd.DataFrame) -> pd.DataFrame:
-        part = batch[[id_col, size_col]].copy()
-        part[BUCKET_COL] = stable_bucket(part[id_col], nb)
-        return part
-
-    def pack(group: pd.DataFrame) -> pd.DataFrame:
-        bucket = int(group[BUCKET_COL].iloc[0])
-        g = group.drop(columns=[BUCKET_COL]).sort_values(
-            [size_col, id_col], ascending=[False, True], ignore_index=True
-        )
+    def pack(group: pd.DataFrame, bucket: int) -> pd.DataFrame:
+        g = group.sort_values([size_col, id_col], ascending=[False, True], ignore_index=True)
         local, overflow = _ffd_pack(g[size_col].to_numpy(), capacity)
         g["bin_id"] = bucket * _BIN_STRIDE + local
         g["overflow"] = overflow
         return g
 
-    return ds.map_batches(tag, batch_format="pandas").groupby(BUCKET_COL).map_groups(
-        pack, batch_format="pandas"
+    return exchange(
+        ds.map_batches(lambda b: b[[id_col, size_col]], batch_format="pandas"),
+        hash_partitioner([id_col], nb),
+        pack,
     )

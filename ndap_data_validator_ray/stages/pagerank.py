@@ -7,7 +7,7 @@ keeps the result DETERMINISTIC and therefore SQL-oracleable — an
 unrolled join+groupby CTE per iteration reproduces the values exactly
 (modulo float last-ulp, hidden by round-6).
 
-Per iteration, TWO bucketed exchanges:
+Per iteration, TWO ``stages/groupby.exchange`` calls:
   1. contribution gather — edge rows (u -> v) and rank rows (node ->
      rank, out_deg) co-locate on u; each bucket emits
      (v, damping * rank(u) / deg(u));
@@ -32,22 +32,18 @@ import pandas as pd
 
 import ray.data
 
-from ndap_data_validator_ray.stages.groupby import default_n_buckets, stable_bucket
-
-_B = "_pr_bucket"
-_COLS = ["k", "v", "x", "side", _B]
+from ndap_data_validator_ray.stages.groupby import default_n_buckets, exchange, hash_partitioner
 
 
-def _tag(side: int, k: np.ndarray, v: np.ndarray, x: np.ndarray, nb: int) -> pd.DataFrame:
+def _leg(side: int, k: np.ndarray, v: np.ndarray, x: np.ndarray) -> pd.DataFrame:
     return pd.DataFrame(
         {
             "k": k.astype(np.int64),
             "v": v.astype(np.int64),
             "x": x.astype(np.float64),
             "side": np.full(len(k), side, dtype=np.int64),
-            _B: stable_bucket(pd.Series(k.astype(np.int64)), nb),
         }
-    )[_COLS]
+    )
 
 
 def distributed_pagerank(
@@ -77,21 +73,13 @@ def distributed_pagerank(
     sym = edges.map_batches(sym_map, batch_format="pandas").materialize()
     nb = n_buckets or int(min(default_n_buckets(), max(8, sym.count() // 100_000 + 8)))
 
-    # static per-node out-degree (bucketed two-phase count over sym.u);
-    # cross-block duplicate edges are deduped in the merge
-    def deg_partial(b: pd.DataFrame) -> pd.DataFrame:
-        return b.assign(**{_B: stable_bucket(b["u"], nb)})
-
-    def deg_merge(g: pd.DataFrame) -> pd.DataFrame:
-        d = g.drop(columns=[_B]).drop_duplicates().groupby("u", as_index=False).size()
+    # static per-node out-degree (one exchange of sym on u); cross-block
+    # duplicate edges are deduped in the merge
+    def deg_merge(g: pd.DataFrame, _pid: int) -> pd.DataFrame:
+        d = g.drop_duplicates().groupby("u", as_index=False).size()
         return pd.DataFrame({"node": d["u"].to_numpy(), "deg": d["size"].to_numpy().astype(np.int64)})
 
-    degs = (
-        sym.map_batches(deg_partial, batch_format="pandas")
-        .groupby(_B)
-        .map_groups(deg_merge, batch_format="pandas")
-        .materialize()
-    )
+    degs = exchange(sym, hash_partitioner(["u"], nb), deg_merge).materialize()
     n_nodes = degs.count()
     if n_nodes == 0:
         return degs.map_batches(
@@ -108,14 +96,14 @@ def distributed_pagerank(
     ).repartition(min(nb, 32)).materialize()
 
     def edge_leg(b: pd.DataFrame) -> pd.DataFrame:
-        return _tag(0, b["u"].to_numpy(), b["v"].to_numpy(), np.zeros(len(b)), nb)
+        return _leg(0, b["u"].to_numpy(), b["v"].to_numpy(), np.zeros(len(b)))
 
     def rank_leg(b: pd.DataFrame) -> pd.DataFrame:
         # x = damping * rank / deg — the per-edge contribution of this node
-        return _tag(1, b["node"].to_numpy(), b["deg"].to_numpy(),
-                    damping * b["rank"].to_numpy() / b["deg"].to_numpy(), nb)
+        return _leg(1, b["node"].to_numpy(), b["deg"].to_numpy(),
+                    damping * b["rank"].to_numpy() / b["deg"].to_numpy())
 
-    def gather(group: pd.DataFrame) -> pd.DataFrame:
+    def gather(group: pd.DataFrame, _pid: int) -> pd.DataFrame:
         lut = group.loc[group["side"] == 1].set_index("k")["x"]
         e = group[group["side"] == 0]
         if e.empty:
@@ -127,12 +115,12 @@ def distributed_pagerank(
         return out.groupby("node", as_index=False)["c"].sum()
 
     def deg_leg(b: pd.DataFrame) -> pd.DataFrame:
-        return _tag(3, b["node"].to_numpy(), b["deg"].to_numpy(), np.zeros(len(b)), nb)
+        return _leg(3, b["node"].to_numpy(), b["deg"].to_numpy(), np.zeros(len(b)))
 
     def contrib_leg(b: pd.DataFrame) -> pd.DataFrame:
-        return _tag(2, b["node"].to_numpy(), np.zeros(len(b), dtype=np.int64), b["c"].to_numpy(), nb)
+        return _leg(2, b["node"].to_numpy(), np.zeros(len(b), dtype=np.int64), b["c"].to_numpy())
 
-    def fold(group: pd.DataFrame) -> pd.DataFrame:
+    def fold(group: pd.DataFrame, _pid: int) -> pd.DataFrame:
         d = group[group["side"] == 3]
         if d.empty:
             return pd.DataFrame(
@@ -149,18 +137,25 @@ def distributed_pagerank(
             }
         )
 
+    by_k = hash_partitioner(["k"], nb)
     for _ in range(iters):
-        contribs = (
-            sym.map_batches(edge_leg, batch_format="pandas")
-            .union(ranks.map_batches(rank_leg, batch_format="pandas"))
-            .groupby(_B)
-            .map_groups(gather, batch_format="pandas")
+        contribs = exchange(
+            [
+                sym.map_batches(edge_leg, batch_format="pandas"),
+                ranks.map_batches(rank_leg, batch_format="pandas"),
+            ],
+            by_k,
+            gather,
         )
         ranks = (
-            contribs.map_batches(contrib_leg, batch_format="pandas")
-            .union(degs.map_batches(deg_leg, batch_format="pandas"))
-            .groupby(_B)
-            .map_groups(fold, batch_format="pandas")
+            exchange(
+                [
+                    contribs.map_batches(contrib_leg, batch_format="pandas"),
+                    degs.map_batches(deg_leg, batch_format="pandas"),
+                ],
+                by_k,
+                fold,
+            )
             .repartition(min(nb, 32))
             .materialize()
         )

@@ -4,17 +4,16 @@ second ordered join Ray Data lacks natively.
 Emits one row per (left, right) pair with equal ``by`` keys whose ordered
 values satisfy ``start < left.on <= end`` computed from the right row
 (half-open band, configurable via the caller's derived start/end
-columns).  Same exchange as stages/join.py: tag + typed-null padding to a
-union schema, shuffle on ``hash(by) % B``, pandas merge + interval filter
-per bucket.
+columns).  Both sides go through ``stages/groupby.cogroup`` keyed on
+``hash(by) % B``; each bucket runs a pandas merge + interval filter.
 
 Partitioning assumptions (documented): one ``by`` key's rows co-locate in
 one reducer; per-key match multiplicity is bounded (the per-bucket merge
 is equality-on-key then interval filter — at extreme per-key fan-out an
 interval-tree per key is the scale path).
 
-Dtype contract: per-bucket groups are consumed as Arrow and split into
-sides before any pandas conversion; output is rebuilt against an explicit
+Dtype contract: ``cogroup`` splits each bucket into its sides while still
+Arrow; output is rebuilt against an explicit
 Arrow schema so int64 keys survive (no float64 upcast, no silent
 precision loss above 2^53).  ``right_start``/``right_end``/``right_by``
 must NOT collide with a left column name — the band filter resolves them
@@ -24,17 +23,13 @@ the stage raises ``ValueError`` instead.
 
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 
 import ray.data
 
 from ndap_data_validator_ray.stages.asof import _fields
-from ndap_data_validator_ray.stages.groupby import BUCKET_COL, default_n_buckets, stable_bucket
+from ndap_data_validator_ray.stages.groupby import cogroup, default_n_buckets, hash_partitioner
 
-_SIDE_COL = "_range_side"
 _BY_COL = "_range_by"
 
 
@@ -65,42 +60,24 @@ def bucketed_range_join(
         )
     right_value_cols = [c for c in rf if c != right_by and c not in left_cols]
 
-    union_fields: list[pa.Field] = [pa.field(c, lf[c]) for c in left_cols]
-    union_fields += [pa.field(c, rf[c]) for c in right_value_cols]
-    union_fields += [pa.field(_BY_COL, lf[by]), pa.field(_SIDE_COL, pa.int8()), pa.field(BUCKET_COL, pa.int64())]
-    out_schema = pa.schema(
-        [pa.field(c, lf[c]) for c in left_cols] + [pa.field(c, rf[c]) for c in right_value_cols]
-    )
+    left_fields = [pa.field(c, lf[c]) for c in left_cols]
+    right_fields = [pa.field(c, rf[c]) for c in right_value_cols]
+    out_schema = pa.schema(left_fields + right_fields)
+    key = pa.field(_BY_COL, lf[by])
 
-    def tag(side: int, by_c: str):
-        def fn(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            cols = {}
-            for f in union_fields[:-3]:
-                if f.name in batch.column_names:
-                    col = batch[f.name]
-                    cols[f.name] = col.cast(f.type) if col.type != f.type else col
-                else:
-                    cols[f.name] = pa.nulls(n, f.type)
-            cols[_BY_COL] = batch[by_c].cast(lf[by])
-            cols[_SIDE_COL] = pa.array(np.full(n, side, dtype=np.int8))
-            cols[BUCKET_COL] = pa.array(stable_bucket(pd.Series(cols[_BY_COL].to_pandas()), n_buckets), pa.int64())
-            return pa.table(cols)
+    def keyed(by_c: str):
+        return lambda b: b.append_column(_BY_COL, b[by_c])
 
-        return fn
+    legs = [
+        (left.map_batches(keyed(by), batch_format="pyarrow"), pa.schema(left_fields + [key])),
+        (right.map_batches(keyed(right_by), batch_format="pyarrow"), pa.schema(right_fields + [key])),
+    ]
 
-    tagged = left.map_batches(tag(0, by), batch_format="pyarrow").union(
-        right.map_batches(tag(1, right_by), batch_format="pyarrow")
-    )
-
-    def merge_bucket(group: pa.Table) -> pa.Table:
-        side = group[_SIDE_COL]
-        l = group.filter(pc.equal(side, 0)).select(left_cols + [_BY_COL]).to_pandas()
-        r = group.filter(pc.equal(side, 1)).select(right_value_cols + [_BY_COL]).to_pandas()
-        if l.empty or r.empty:
+    def merge_bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        if not lt.num_rows or not rt.num_rows:
             return out_schema.empty_table()
-        merged = l.merge(r, on=_BY_COL, how="inner")
+        merged = lt.to_pandas().merge(rt.to_pandas(), on=_BY_COL, how="inner")
         keep = (merged[on] > merged[right_start]) & (merged[on] <= merged[right_end])
         return pa.Table.from_pandas(merged.loc[keep, left_cols + right_value_cols], schema=out_schema, preserve_index=False).replace_schema_metadata(None)
 
-    return tagged.groupby(BUCKET_COL).map_groups(merge_bucket, batch_format="pyarrow")
+    return cogroup(legs, merge_bucket, hash_partitioner([_BY_COL], n_buckets))

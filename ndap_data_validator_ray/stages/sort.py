@@ -12,9 +12,9 @@ table.  Three streaming passes:
    broadcast to the shuffle pass.  (Counting before the shuffle lets the
    reducers emit FINAL global ranks in one pass instead of re-scanning
    the shuffled output.)
-3. **Shuffle**: tag rows with their partition id, ``groupby(pid)`` —
-   each reducer sorts ITS range by the full order tuple and adds the
-   partition's prefix offset.
+3. **Shuffle**: ``stages/groupby.exchange`` with the range partition id
+   as the partition function — each reducer sorts ITS range by the full
+   order tuple and adds the partition's prefix offset.
 
 Rows equal on the first order column always share a partition
 (``searchsorted(..., side="right")``), so ties are resolved entirely
@@ -36,7 +36,7 @@ import pandas as pd
 import ray
 import ray.data
 
-_PID_COL = "_sort_pid"
+from ndap_data_validator_ray.stages.groupby import exchange
 
 
 def _order_key(batch: pd.DataFrame, col: str, ascending: bool) -> np.ndarray:
@@ -51,7 +51,8 @@ def _order_key(batch: pd.DataFrame, col: str, ascending: bool) -> np.ndarray:
 class _RangePlan:
     """Shared machinery of the range-partitioned window primitives
     (global_rank / global_running_sum): pass-1 boundary sampling, the
-    pid_of partitioner, the tagger, and the pass-2 per-pid driver fold.
+    pid_of partitioner (the ``exchange`` partition function of pass 3),
+    and the pass-2 per-pid driver fold.
     One implementation so boundary/sampling fixes can't drift between the
     two operators (round-3 ADVICE)."""
 
@@ -122,21 +123,11 @@ class _RangePlan:
         the full order tuple, apply ``fold(sorted_group, pid)``."""
         pid_of, order_by, ascending = self.make_pid_of(), self.order_by, self.ascending
 
-        def tag(batch: pd.DataFrame) -> pd.DataFrame:
-            return batch.assign(**{_PID_COL: pid_of(batch)})
-
-        def run(group: pd.DataFrame) -> pd.DataFrame:
-            pid = int(group[_PID_COL].iloc[0])
-            group = group.drop(columns=[_PID_COL]).sort_values(
-                order_by, ascending=ascending, kind="stable", ignore_index=True
-            )
+        def run(group: pd.DataFrame, pid: int) -> pd.DataFrame:
+            group = group.sort_values(order_by, ascending=ascending, kind="stable", ignore_index=True)
             return fold(group, pid)
 
-        return (
-            self.ds.map_batches(tag, batch_format="pandas")
-            .groupby(_PID_COL)
-            .map_groups(run, batch_format="pandas")
-        )
+        return exchange(self.ds, pid_of, run)
 
 
 def global_rank(

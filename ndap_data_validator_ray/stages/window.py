@@ -3,7 +3,8 @@ cumulative and rolling aggregates OVER (PARTITION BY ... ORDER BY ...).
 
 Ray Data has no native window operator.  The scale-correct expression is
 the same layout every distributed SQL engine uses: hash-partition rows by
-the PARTITION BY key so each partition lands whole on one reducer, sort
+the PARTITION BY key (``stages/groupby.exchange``) so each partition lands
+whole on one reducer, sort
 within the reducer, then compute every requested window column in one
 vectorized pandas pass (``groupby(...).cumcount/shift/cumsum/rolling`` —
 never a per-row loop).
@@ -34,7 +35,7 @@ import numpy as np
 import pandas as pd
 import ray.data
 
-from ndap_data_validator_ray.stages.groupby import BUCKET_COL, default_n_buckets, stable_bucket
+from ndap_data_validator_ray.stages.groupby import default_n_buckets, exchange, hash_partitioner
 
 _KINDS = (
     "row_number", "rank", "dense_rank", "percent_rank", "cume_dist", "ntile",
@@ -181,15 +182,8 @@ def partitioned_window(
             raise ValueError(f"window output {s.out!r} collides with a key column")
     nb = n_buckets if n_buckets is not None else default_n_buckets()
 
-    def tag(batch: pd.DataFrame) -> pd.DataFrame:
-        batch[BUCKET_COL] = stable_bucket(
-            batch[partition_by] if len(partition_by) > 1 else batch[partition_by[0]], nb
-        )
-        return batch
-
-    def merge(group: pd.DataFrame) -> pd.DataFrame:
-        return _apply_specs(group.drop(columns=[BUCKET_COL]), partition_by, order_by, specs)
-
-    return ds.map_batches(tag, batch_format="pandas").groupby(BUCKET_COL).map_groups(
-        merge, batch_format="pandas"
+    return exchange(
+        ds,
+        hash_partitioner(partition_by, nb),
+        lambda group, _pid: _apply_specs(group, partition_by, order_by, specs),
     )

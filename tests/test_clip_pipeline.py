@@ -73,6 +73,24 @@ def test_uniqueness_matches_goldens(tiny_run):
     assert counts["clip-000000000000"] >= spec.hot_dup_copies
 
 
+def test_duplicate_goldens_match_generated_ids(monkeypatch):
+    """Plan-only (no shards written, audio stubbed): at this spec some V1
+    rows copy an id from a row that is itself a V1 row; the goldens must
+    list exactly the ids the generator emits more than once."""
+    from collections import Counter
+
+    monkeypatch.setattr(ac, "synth_pcm", lambda idx, sr, n, seed: np.zeros(1, dtype=np.float32))
+    monkeypatch.setattr(ac, "encode", lambda pcm, sr, codec: b"")
+    spec = syn.ClipTableSpec(n_rows=20000, seed=42, n_files=16, hot_dup_copies=200)
+    counts = Counter()
+    for shard in range(spec.n_files):
+        counts.update(syn.generate_shard(spec, shard)["clip_id"].to_pylist())
+    assert sum(counts.values()) == spec.n_rows + spec.hot_dup_copies
+    expected = sorted(cid for cid, c in counts.items() if c > 1)
+    assert syn.compute_goldens(spec).violations[syn.V_DUP] == expected
+    assert len(expected) == 196
+
+
 def test_exact_counts_unaffected_by_violation_cap(clips_tiny, tmp_path):
     """Violation ROWS are capped; violation COUNTS must stay exact."""
     data_dir, spec, goldens = clips_tiny

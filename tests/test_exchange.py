@@ -1,0 +1,139 @@
+"""The shared exchange (stages/groupby.exchange / cogroup): key
+co-location across batch dtypes, the SQL NULL group, empty legs, and
+partition ids that callers derive results from."""
+
+import os
+
+import duckdb
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+import ray
+
+from ndap_data_validator_ray.stages.asof import bucketed_asof_join
+from ndap_data_validator_ray.stages.groupby import exchange, hash_partitioner, sum_by_key
+from ndap_data_validator_ray.stages.join import bucketed_join
+from ndap_data_validator_ray.stages.packing import pack_bins
+from scripts.check_oracle import compare
+
+
+def test_int_and_float_batches_of_one_key_reach_one_reducer():
+    # a nullable int key arrives as int64 in null-free batches and as
+    # float64 where a null forced the upcast
+    ds = ray.data.from_pandas(
+        [
+            pd.DataFrame({"k": np.array([1, 2, 3], dtype=np.int64), "v": [1, 2, 3]}),
+            pd.DataFrame({"k": np.array([1.0, np.nan, 2.0]), "v": [4, 5, 6]}),
+        ]
+    )
+
+    def reduce(group: pd.DataFrame, pid: int) -> pd.DataFrame:
+        return pd.DataFrame({"k": group["k"].astype(np.float64), "v": group["v"], "pid": pid})
+
+    out = exchange(ds, hash_partitioner(["k"], 16), reduce).to_pandas()
+    assert sorted(out["v"]) == [1, 2, 3, 4, 5, 6]
+    pids = out.dropna(subset=["k"]).groupby("k")["pid"].nunique()
+    assert pids.to_dict() == {1.0: 1, 2.0: 1, 3.0: 1}
+
+
+@pytest.mark.parametrize("partial_format", ["pyarrow", "pandas"])
+@pytest.mark.parametrize("keys", [[1, None, 2, None, 1], ["a", None, "b", None, "a"]])
+def test_sum_by_key_null_keys_form_one_group(partial_format, keys):
+    blocks = [pa.table({"k": keys[:3], "v": [1, 2, 3]}), pa.table({"k": keys[3:], "v": [4, 5]})]
+    out = sum_by_key(
+        ray.data.from_arrow(blocks), ["k"], ["v"], n_buckets=8, partial_format=partial_format
+    ).to_pandas()
+    assert len(out) == 3
+    assert out.loc[out["k"].isna(), "v"].tolist() == [6]
+    assert sorted(out.loc[out["k"].notna(), "v"]) == [3, 6]
+
+
+def _collect(ds) -> pd.DataFrame:
+    """Rows of ``ds`` with the columns of its schema, also when it has no
+    rows (Ray's ``to_pandas`` drops the columns of an empty Dataset)."""
+    ds = ds.materialize()
+    out = ds.to_pandas()
+    return out if len(out.columns) else ds.schema().base_schema.empty_table().to_pandas()
+
+
+_LEFT = pa.table({"k": pa.array([1, 2, None, 4], pa.int64()), "a": ["w", "x", "y", "z"]})
+_RIGHT = pa.table({"k": pa.array([1, 4, 4], pa.int64()), "b": pa.array([10, 40, 41], pa.int64())})
+_JOIN_SQL = {
+    "inner": "SELECT l.k, l.a, r.b FROM l JOIN r ON l.k = r.k",
+    "left": "SELECT l.k, l.a, r.b FROM l LEFT JOIN r ON l.k = r.k",
+    "anti": "SELECT l.k, l.a FROM l WHERE NOT EXISTS (SELECT 1 FROM r WHERE r.k = l.k)",
+}
+
+
+@pytest.mark.parametrize("empty", ["left", "right"])
+@pytest.mark.parametrize("how", ["inner", "left", "anti"])
+def test_join_with_an_empty_leg_matches_sql(how, empty):
+    l = _LEFT.slice(0, 0) if empty == "left" else _LEFT
+    r = _RIGHT.slice(0, 0) if empty == "right" else _RIGHT
+    got = bucketed_join(ray.data.from_arrow(l), ray.data.from_arrow(r), on=["k"], how=how, n_buckets=4)
+    con = duckdb.connect()
+    con.register("l", l)
+    con.register("r", r)
+    want = con.execute(_JOIN_SQL[how]).fetchdf()
+    assert compare(how, _collect(got), want) == []
+
+
+@pytest.mark.parametrize("empty", ["left", "right"])
+def test_asof_with_an_empty_leg_matches_sql(empty):
+    ev = pa.table({"event_id": pa.array([1, 2, 3], pa.int64()), "user_id": pa.array([7, 7, 8], pa.int64()),
+                   "ts": pa.array([5, 9, 4], pa.int64())})
+    od = pa.table({"o_custkey": pa.array([7, 8], pa.int64()), "o_date": pa.array([6, 1], pa.int64())})
+    ev = ev.slice(0, 0) if empty == "left" else ev
+    od = od.slice(0, 0) if empty == "right" else od
+    got = bucketed_asof_join(
+        ray.data.from_arrow(ev), ray.data.from_arrow(od), on="ts", by="user_id",
+        right_on="o_date", right_by="o_custkey", n_buckets=4,
+    )
+    con = duckdb.connect()
+    con.register("ev", ev)
+    con.register("od", od)
+    want = con.execute(
+        "SELECT e.event_id, e.user_id, e.ts, o.o_date FROM ev e ASOF LEFT JOIN od o "
+        "ON e.user_id = o.o_custkey AND e.ts >= o.o_date"
+    ).fetchdf()
+    assert compare("asof", _collect(got), want) == []
+
+
+def test_pack_bins_ids_are_pinned():
+    """bin_id = bucket * 2^40 + local bin.  These values come from the
+    per-stage exchange that ``exchange`` replaced: the partition id the
+    packing reducer receives must still be the same hash bucket."""
+    ids = np.arange(30, dtype=np.int64)
+    sizes = ids * 37 % 53 + 5
+    sizes[7] = 150  # larger than the capacity: own bin, overflow=1
+    ds = ray.data.from_pandas(pd.DataFrame({"doc_id": ids, "n_tok": sizes}))
+    out = pack_bins(ds, "doc_id", "n_tok", capacity=100, n_buckets=4).to_pandas().sort_values("doc_id")
+    bucket_local = [
+        (0, 0), (2, 0), (1, 1), (1, 2), (0, 0), (0, 1), (2, 3), (1, 0), (2, 2), (0, 1),
+        (2, 0), (0, 1), (3, 0), (1, 2), (0, 0), (0, 2), (2, 2), (2, 1), (2, 3), (0, 2),
+        (3, 0), (1, 1), (3, 1), (2, 3), (2, 1), (2, 3), (0, 2), (2, 2), (1, 1), (0, 2),
+    ]
+    assert out["bin_id"].tolist() == [b * (1 << 40) + local for b, local in bucket_local]
+    assert out["overflow"].tolist() == [int(i == 7) for i in ids]
+
+
+def test_events_last_order_asof_unmatched_event_is_null(tmp_path):
+    from ndap_data_validator_ray.pipelines.queries import _ASOF_SQL, events_last_order_asof
+
+    ts = pd.to_datetime(["2024-01-01", "2024-03-01", "2024-02-15"]).astype("datetime64[us]")
+    events = pa.table({"event_id": pa.array([1, 2, 3], pa.int64()), "ts": pa.array(ts),
+                       "user_id": pa.array([5, 5, 6], pa.int64())})
+    od = pd.to_datetime(["2024-02-01", "2024-02-10", "2024-01-20"]).astype("datetime64[us]")
+    orders = pa.table({"o_custkey": pa.array([5, 5, 6], pa.int64()), "o_orderdate": pa.array(od)})
+    pq.write_table(events, os.path.join(tmp_path, "events.parquet"))
+    pq.write_table(orders, os.path.join(tmp_path, "orders.parquet"))
+
+    got = events_last_order_asof(str(tmp_path))
+    # event 1 is earlier than every order of user 5
+    assert got.loc[got["event_id"] == 1, "last_order_date"].tolist() == [None]
+    con = duckdb.connect()
+    con.register("events", events)
+    con.register("orders", orders)
+    assert compare("events_last_order_asof", got, con.execute(_ASOF_SQL).fetchdf()) == []
