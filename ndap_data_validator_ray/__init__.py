@@ -8,8 +8,9 @@ reference validator (``suseel96/ndap_data_validator``), rebuilt Ray-Data-first:
 - stateless vectorized kernels for coercion/stats (reference semantics:
   ``/root/reference/utils/validation.py:200-357``);
 - actor pools for stateful stages (audio decode validation);
-- hash-partitioned groupby shuffles only where semantics require
-  (uniqueness on ``clip_id``), pre-aggregated per batch first;
+- hash-partitioned groupby shuffles only where semantics require,
+  pre-aggregated per batch first; ``clip_id`` uniqueness needs none — it
+  merges persisted per-partition key runs by hash range;
 - commutative, mergeable sketches (HLL, t-digest, histograms) so runs are
   resumable from per-partition checkpoints without double-counting.
 

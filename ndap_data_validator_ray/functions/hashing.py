@@ -101,11 +101,6 @@ def minhash_signature(shingle_hashes: np.ndarray, num_perm: int = 64, seed: int 
     return vals.min(axis=0)
 
 
-def minhash_signature_matrix(list_of_shingle_hashes: list[np.ndarray], num_perm: int = 64, seed: int = 7) -> np.ndarray:
-    """Batch form: (n_docs, num_perm) uint64 matrix, vectorized per doc."""
-    return np.vstack([minhash_signature(s, num_perm, seed) for s in list_of_shingle_hashes])
-
-
 def char_shingles_batch(texts: list[str], k: int = 5) -> tuple[np.ndarray, np.ndarray]:
     """All docs' shingle hashes in ONE numpy pass: concatenated hash array +
     per-doc start offsets (``hashes[offsets[i]:offsets[i+1] or None]`` is
@@ -183,19 +178,10 @@ def lsh_bands_matrix(sig_matrix: np.ndarray, bands: int = 16) -> np.ndarray:
     return h
 
 
-def lsh_bands(signature: np.ndarray, bands: int = 16) -> np.ndarray:
-    """Single-signature convenience wrapper over ``lsh_bands_matrix``."""
-    return lsh_bands_matrix(signature[None, :], bands)[0]
-
-
 def jaccard(a: set, b: set) -> float:
     if not a and not b:
         return 1.0
     return len(a & b) / max(1, len(a | b))
-
-
-def minhash_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
-    return float(np.mean(sig_a == sig_b))
 
 
 def simhash64(token_hashes: np.ndarray, weights: np.ndarray | None = None) -> np.uint64:
@@ -274,8 +260,3 @@ def popcount64(x: np.ndarray) -> np.ndarray:
     x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
     with np.errstate(over="ignore"):
         return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.int64)
-
-
-def hamming64(a: np.ndarray, b: np.uint64) -> np.ndarray:
-    """Vectorized Hamming distance of an array of uint64 against one value."""
-    return popcount64(np.bitwise_xor(a.astype(np.uint64), b))

@@ -25,8 +25,12 @@ import numpy as np
 import pandas as pd
 
 
-def stable_hash64(values: np.ndarray) -> np.ndarray:
-    """Deterministic 64-bit hashes of an array (strings/bytes/numbers)."""
+def stable_hash64(values: np.ndarray | pd.DataFrame) -> np.ndarray:
+    """Deterministic 64-bit hashes of an array (strings/bytes/numbers), or
+    of each row of a DataFrame (its columns' hashes combined) — the
+    package's one key hash (sketches, exchange buckets, key runs)."""
+    if isinstance(values, pd.DataFrame):
+        return pd.util.hash_pandas_object(values, index=False).to_numpy()
     if values.dtype == object or values.dtype.kind in "USV":
         return pd.util.hash_array(values.astype(object), categorize=False)
     return pd.util.hash_array(np.ascontiguousarray(values), categorize=False)

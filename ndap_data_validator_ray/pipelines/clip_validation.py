@@ -3,7 +3,7 @@ transcript table (the BASELINE.json metric: "validated clips/sec").
 
 One streaming pass over the data (read -> attach partition ids ->
 actor-pool audio decode -> stateless batch validation -> small union
-output), plus one column-pruned pass for the global uniqueness shuffle:
+output), plus key runs for the global uniqueness check:
 
     read_parquet(files, include_paths)            # fragments -> blocks
       .map_batches(attach_partition_id)           # lineage (path -> pid)
@@ -11,8 +11,17 @@ output), plus one column-pruned pass for the global uniqueness shuffle:
       .map_batches(ValidateBatch(schema))         # stats + violations union
       .write_parquet(run_dir)                     # SMALL output (not data)
 
-    read_parquet(files, columns=[key])            # uniqueness: 1 column only
-      -> batch partial counts -> groupby(key).sum -> dup keys (tiny)
+    one Ray task per partition needing a run      # clip_id column only
+      -> <ckpt_dir>-keys/partition-P-<lineage>.parquet   (h, clip_id, cnt)
+    B Ray tasks, one per contiguous h range       # sum cnt over every run
+      -> keys with cnt > 1 (tiny) -> unique_violations.parquet
+
+A key run is immutable and named by its partition's ``lineage_id``, so a
+resumed run rebuilds runs only for the partitions it re-validates (plus
+any done partition whose run is missing); the key-run tasks overlap the
+main pass, and the merge reads only each run's row groups in its range.
+No Dataset exchange: uniqueness never shuffles (stages/dedup.py has the
+algebra and the P x B file-open scale limit).
 
 Verdict logic runs on merged small state at the driver (reference shape,
 ``validation.py:352-357``); per-partition manifests make the run resumable
@@ -30,8 +39,11 @@ from typing import Any
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.dataset as pads
+import pyarrow.parquet as pq
 
+import ray
 import ray.data
 
 from ndap_data_validator_ray import report as rpt
@@ -40,46 +52,13 @@ from ndap_data_validator_ray.schema import TableSchema, clips_table_schema
 from ndap_data_validator_ray.sources import fs as vfs
 from ndap_data_validator_ray.sources.synthetic import clip_files
 from ndap_data_validator_ray.stages.audio import AudioDecodeValidator
-from ndap_data_validator_ray.stages.dedup import duplicate_keys
+from ndap_data_validator_ray.stages.dedup import key_run_duplicates, merge_ranges, write_key_run
 from ndap_data_validator_ray.stages.validate import PARTITION_COL, ValidateBatch
 from ndap_data_validator_ray.state import baseline as bl
 from ndap_data_validator_ray.state import checkpoint as ckpt
 from ndap_data_validator_ray.functions.sketches import deserialize
 
-
-def _warm_lazy_fs_imports() -> None:
-    """Make Ray's lazy path-util import race thread-safe.
-
-    ``path_util._is_http_filesystem`` runs ``from fsspec.implementations.
-    http import HTTPFileSystem`` on EVERY call (read construction and write
-    sink setup both hit it).  Without aiohttp installed that import always
-    raises — single-threaded it raises ``ModuleNotFoundError('aiohttp')``,
-    which Ray catches; but when two threads race the first import, the
-    loser sees a partially initialized module and gets a plain
-    ``ImportError`` ("cannot import name HTTPFileSystem"), which Ray does
-    NOT catch, killing whichever Dataset was being built.  Wrapping the
-    helper to map any ImportError to False (the exact conclusion of the
-    single-threaded path: no aiohttp => the filesystem cannot be HTTP)
-    makes concurrent Dataset construction safe.  Idempotent."""
-    try:
-        from ray.data.datasource import path_util as _pu
-
-        orig = _pu._is_http_filesystem
-        if getattr(orig, "_ndap_safe", False):
-            return
-
-        def _safe_is_http_filesystem(fs):
-            try:
-                return orig(fs)
-            except ImportError:
-                return False
-
-        _safe_is_http_filesystem._ndap_safe = True
-        _pu._is_http_filesystem = _safe_is_http_filesystem
-        # file_datasink/read paths import the symbol through the module, so
-        # patching the module attribute covers both call sites
-    except Exception:
-        pass  # internal layout changed: threads fall back to serial path
+_KEY = "clip_id"
 
 
 def _mark(label: str, t0: float) -> None:
@@ -194,100 +173,28 @@ def validate_clips(data_dir: str, cfg: ClipRunConfig, schema: TableSchema | None
     ckpt_dir = cfg.ckpt_dir or vfs.join(cfg.out_dir, "checkpoints")
     run_dir = vfs.join(cfg.out_dir, f"run-{cfg.run_id}")
 
-    done = ckpt.completed_partitions(ckpt_dir, partitions) if cfg.resume else set()
+    lineages = ckpt.lineage_ids(partitions)
+    done = ckpt.completed_partitions(ckpt_dir, lineages) if cfg.resume else set()
     pending = {pid: fs for pid, fs in partitions.items() if pid not in done}
 
-    # build the MAIN plan first: the first read_parquet in a process pays
-    # Ray's lazy read-path imports + metadata sampling (~2s at 256 shards);
-    # doing it up front also makes it safe for the uniqueness thread below
-    # to construct ITS Dataset concurrently (sys.modules already warm —
-    # parallel first-construction is what races Ray's lazy path-util
-    # imports)
-    main_ds = None
-    if pending:
-        try:
-            main_ds = _build_validation_plan(pending, cfg, schema)
-        except Exception:  # corrupt shard at metadata time: per-partition fallback below
-            main_ds = None
-    _mark("main plan built", _t0)
+    # key runs build concurrently with the main pass: plain Ray tasks that
+    # read one column of one partition each
+    runs = _KeyRuns(ckpt_dir, partitions, lineages, pending) if cfg.check_unique else None
+    try:
+        new_manifests, failed_partitions = _validate_pending(pending, lineages, run_dir, ckpt_dir, cfg, schema, _t0)
+        _mark("validation pass done", _t0)
+        # a failed partition's run is left out of the merge; a run that
+        # could not be built fails its partition the same way
+        dup_tbl = runs.duplicates(failed_partitions) if runs is not None else None
+    finally:
+        if runs is not None:
+            runs.wait()
+    if dup_tbl is not None:
+        _mark("uniqueness merged", _t0)
+        vfs.ensure_dir(run_dir)
+        _fs, _p = vfs.resolve(vfs.join(run_dir, "unique_violations.parquet"))
+        pq.write_table(dup_tbl, _p, filesystem=_fs)
 
-    # launch the uniqueness key-scan CONCURRENTLY with the heavy pass: it
-    # reads one pruned column and shares the cluster; the streaming
-    # executors interleave, so its wall time hides under the decode stage
-    uniq_future = None
-    if cfg.check_unique:
-        import concurrent.futures
-
-        # single-column projection; coalesce small files so the key scan is
-        # not dominated by per-task overhead (~256MB of file footprint per
-        # read block; only the key column is read)
-        total_bytes = sum(vfs.file_size(f) for f in files)
-        n_blocks = int(min(len(files), max(8, total_bytes // (256 << 20))))
-        # cap the side-scan's CPUs so it cannot starve the decode pool's
-        # read feeder during the ramp — it has minutes of slack against the
-        # main pass (measured: uncapped it finishes in the first ~20% of
-        # the run while the pool sits ~15% idle)
-        try:
-            n_cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        except Exception:
-            n_cpus = 8
-        uniq_cpu_cap = max(1, n_cpus // 8)
-        _uniq_pool = concurrent.futures.ThreadPoolExecutor(max_workers=1)
-
-        def _uniq_scan():
-            kds = _read_clip_parquet(files, columns=["clip_id"], override_num_blocks=n_blocks)
-            try:
-                from ray.data._internal.execution.interfaces import ExecutionResources
-
-                kds.context.execution_options.resource_limits = ExecutionResources(cpu=uniq_cpu_cap)
-            except Exception:
-                pass  # private API moved: run uncapped rather than fail
-            return duplicate_keys(kds, "clip_id")
-
-        if main_ds is not None:
-            # overlap Dataset CONSTRUCTION (metadata fetch) with the main
-            # pass; a construction error inside the thread surfaces at
-            # .result() and takes the healthy-files retry path below
-            _warm_lazy_fs_imports()
-            uniq_future = _uniq_pool.submit(_uniq_scan)
-        else:
-            # nothing pending: no main plan warmed the lazy imports, so
-            # construct on the main thread and only execute in the worker
-            try:
-                key_ds = _read_clip_parquet(files, columns=["clip_id"], override_num_blocks=n_blocks)
-                uniq_future = _uniq_pool.submit(duplicate_keys, key_ds, "clip_id")
-            except Exception:
-                uniq_future = None  # corrupt shard: retried over healthy files below
-        _mark("uniqueness scan launched", _t0)
-
-    failed_partitions: dict[int, str] = {}
-    new_manifests: dict[int, tuple[ckpt.PartitionManifest, TableStats]] = {}
-    if pending:
-        try:
-            if main_ds is None:
-                raise RuntimeError("main plan build failed; per-partition fallback")
-            new_manifests = _execute_validation_pass(
-                main_ds, pending, run_dir, ckpt_dir, cfg, schema, subdir="union", _t0=_t0
-            )
-        except Exception:
-            # a corrupt shard aborts the whole streaming pass; fall back to
-            # per-partition execution so every healthy partition completes
-            # and only the broken ones are recorded as failed — the
-            # reference's per-file semantics (main.py:928-936): a failing
-            # file yields a failed record, never a job abort.  Failed
-            # partitions get NO manifest, so a later resume retries them.
-            for pid, fs in pending.items():
-                try:
-                    pass_ds = _build_validation_plan({pid: fs}, cfg, schema)
-                    new_manifests.update(
-                        _execute_validation_pass(
-                            pass_ds, {pid: fs}, run_dir, ckpt_dir, cfg, schema, subdir=f"union-p{pid:05d}"
-                        )
-                    )
-                except Exception as exc:  # noqa: BLE001 - recorded, not raised
-                    failed_partitions[pid] = f"{type(exc).__name__}: {str(exc)[:200]}"
-
-    _mark("validation pass done", _t0)
     if done or failed_partitions or not pending:
         # resumed/failed partitions: the checkpoint dir is the source of
         # truth for what actually completed (latest-attempt-wins)
@@ -304,34 +211,12 @@ def validate_clips(data_dir: str, cfg: ClipRunConfig, schema: TableSchema | None
             total = total.merge(new_manifests[pid][1])
     _mark("manifests merged", _t0)
 
-    dup_tbl = pa.table({"clip_id": pa.array([], pa.string()), "cnt": pa.array([], pa.int64())})
-    n_dup_keys = 0
-    if cfg.check_unique:
-        try:
-            if uniq_future is None:
-                raise RuntimeError("key scan not started (corrupt shard)")
-            dup_tbl = uniq_future.result()
-            _mark("uniqueness result ready", _t0)
-        except Exception:
-            # key scan hit the corrupt shard: retry over healthy files only
-            healthy = [
-                f for pid, fs in partitions.items() if pid not in failed_partitions for f in fs
-            ]
-            key_ds = _read_clip_parquet(healthy, columns=["clip_id"])
-            dup_tbl = duplicate_keys(key_ds, "clip_id")
-        _uniq_pool.shutdown(wait=False)
-        n_dup_keys = dup_tbl.num_rows
-        import pyarrow.parquet as pq
-
-        vfs.ensure_dir(run_dir)
-        _fs, _p = vfs.resolve(vfs.join(run_dir, "unique_violations.parquet"))
-        pq.write_table(dup_tbl, _p, filesystem=_fs)
-
+    n_dup_keys = dup_tbl.num_rows if dup_tbl is not None else None
     baseline = bl.load_baseline(cfg.baseline_path) if cfg.baseline_path else None
     report = rpt.finalize_report(
         schema,
         total,
-        duplicate_keys=n_dup_keys if cfg.check_unique else None,
+        duplicate_keys=n_dup_keys,
         baseline=baseline,
         drift_ks_threshold=cfg.drift_ks_threshold,
     )
@@ -345,7 +230,7 @@ def validate_clips(data_dir: str, cfg: ClipRunConfig, schema: TableSchema | None
     if failed_partitions:
         report["passed"] = False  # per-file fold: any failed file fails the run (main.py:926-936)
     report["violation_counts"] = _violation_counts_from_manifests(manifests)
-    if cfg.check_unique:
+    if n_dup_keys is not None:
         report["violation_counts"][rpt.CHECK_UNIQUE] = n_dup_keys
 
     vfs.ensure_dir(run_dir)
@@ -353,6 +238,115 @@ def validate_clips(data_dir: str, cfg: ClipRunConfig, schema: TableSchema | None
         vfs.join(run_dir, "report.json"), json.dumps(report, indent=1, default=str).encode()
     )
     return report
+
+
+def _validate_pending(
+    pending: dict[int, list[str]],
+    lineages: dict[int, str],
+    run_dir: str,
+    ckpt_dir: str,
+    cfg: ClipRunConfig,
+    schema: TableSchema,
+    _t0: float,
+) -> tuple[dict[int, tuple[ckpt.PartitionManifest, TableStats]], dict[int, str]]:
+    """Validate the pending partitions: (new manifests, failed partitions)."""
+    if not pending:
+        return {}, {}
+    try:
+        main_ds = _build_validation_plan(pending, cfg, schema)
+        _mark("main plan built", _t0)
+        pass_out = _execute_validation_pass(main_ds, pending, lineages, run_dir, ckpt_dir, cfg, schema, "union", _t0)
+        return pass_out, {}
+    except Exception:
+        # a corrupt shard aborts the whole streaming pass (or its plan
+        # build); fall back to per-partition execution so every healthy
+        # partition completes and only the broken ones are recorded as
+        # failed — the reference's per-file semantics (main.py:928-936): a
+        # failing file yields a failed record, never a job abort.  Failed
+        # partitions get NO manifest, so a later resume retries them.
+        new_manifests: dict[int, tuple[ckpt.PartitionManifest, TableStats]] = {}
+        failed_partitions: dict[int, str] = {}
+        for pid, fs in pending.items():
+            try:
+                pass_ds = _build_validation_plan({pid: fs}, cfg, schema)
+                new_manifests.update(
+                    _execute_validation_pass(
+                        pass_ds, {pid: fs}, lineages, run_dir, ckpt_dir, cfg, schema, subdir=f"union-p{pid:05d}"
+                    )
+                )
+            except Exception as exc:  # noqa: BLE001 - recorded, not raised
+                failed_partitions[pid] = f"{type(exc).__name__}: {str(exc)[:200]}"
+        return new_manifests, failed_partitions
+
+
+@ray.remote
+def _key_run_task(files: list[str], path: str, aws_env: dict[str, str]) -> str:
+    os.environ.update(aws_env)
+    return write_key_run(files, _KEY, path)
+
+
+@ray.remote
+def _merge_range_task(paths: list[str], lo: int, hi: int, aws_env: dict[str, str]) -> pa.Table:
+    os.environ.update(aws_env)
+    return key_run_duplicates(paths, _KEY, lo, hi)
+
+
+class _KeyRuns:
+    """The clip-uniqueness key runs of one job (stages/dedup.py).
+
+    Construction submits one build task per partition that needs a run:
+    every pending partition, plus each done partition whose run under its
+    current lineage is missing.  ``duplicates`` awaits them, deletes runs
+    no current partition names, and merges by hash range.  ``wait``
+    awaits whatever is still in flight, so no task outlives the job."""
+
+    def __init__(
+        self,
+        ckpt_dir: str,
+        partitions: dict[int, list[str]],
+        lineages: dict[int, str],
+        pending: dict[int, list[str]],
+    ):
+        self.dir = ckpt.key_runs_dir(ckpt_dir)
+        self.names = {pid: ckpt.key_run_name(pid, lineages[pid]) for pid in partitions}
+        self.aws_env = vfs.aws_env()
+        have = vfs.file_sizes(self.dir)
+        vfs.ensure_dir(self.dir)
+        self.builds = {
+            pid: _key_run_task.remote(partitions[pid], vfs.join(self.dir, name), self.aws_env)
+            for pid, name in self.names.items()
+            if pid in pending or name not in have
+        }
+        self.merges: list = []
+
+    def duplicates(self, failed_partitions: dict[int, str]) -> pa.Table:
+        """Keys counted more than once over the runs of every partition
+        not in ``failed_partitions`` (which this extends with partitions
+        whose run build failed), sorted by key: ``(clip_id, cnt)``."""
+        self.wait()
+        for pid, ref in self.builds.items():
+            try:
+                ray.get(ref)
+            except Exception as exc:  # noqa: BLE001 - recorded, not raised
+                failed_partitions.setdefault(pid, f"key run: {type(exc).__name__}: {str(exc)[:200]}")
+        sizes = vfs.file_sizes(self.dir)
+        for name in set(sizes) - set(self.names.values()):
+            vfs.delete_file(vfs.join(self.dir, name))
+        current = sorted(name for pid, name in self.names.items() if pid not in failed_partitions)
+        n_cpus = int(ray.cluster_resources().get("CPU", 1))
+        paths = [vfs.join(self.dir, name) for name in current]
+        self.merges = [
+            _merge_range_task.remote(paths, lo, hi, self.aws_env)
+            for lo, hi in merge_ranges(sum(sizes.get(name, 0) for name in current), n_cpus)
+        ]
+        self.wait()
+        tbl = pa.concat_tables(ray.get(self.merges), promote_options="permissive")
+        return tbl.take(pc.sort_indices(tbl, [(_KEY, "ascending")])).combine_chunks()
+
+    def wait(self) -> None:
+        refs = [*self.builds.values(), *self.merges]
+        if refs:
+            ray.wait(refs, num_returns=len(refs))
 
 
 def _build_validation_plan(
@@ -414,6 +408,7 @@ def _build_validation_plan(
 def _execute_validation_pass(
     ds: "ray.data.Dataset",
     pending: dict[int, list[str]],
+    lineages: dict[int, str],
     run_dir: str,
     ckpt_dir: str,
     cfg: ClipRunConfig,
@@ -441,7 +436,7 @@ def _execute_validation_pass(
     # read it back, fold per partition, write manifests
     union = pads.dataset(union_path, format="parquet", filesystem=union_fs).to_table()
     _mark("pass: union read back", _t0)
-    manifests = _write_partition_manifests(union, pending, ckpt_dir, cfg.run_id, schema)
+    manifests = _write_partition_manifests(union, pending, lineages, ckpt_dir, cfg.run_id, schema)
     _mark("pass: manifests written", _t0)
     return manifests
 
@@ -475,7 +470,12 @@ def _merge_partition_stats_group(block: "pd.DataFrame") -> "pd.DataFrame":
 
 
 def _write_partition_manifests(
-    union: pa.Table, pending: dict[int, list[str]], ckpt_dir: str, run_id: str, schema: TableSchema
+    union: pa.Table,
+    pending: dict[int, list[str]],
+    lineages: dict[int, str],
+    ckpt_dir: str,
+    run_id: str,
+    schema: TableSchema,
 ) -> dict[int, tuple["ckpt.PartitionManifest", TableStats]]:
     # vectorized fold: group the (small) union output once with pandas —
     # never a per-row Python loop over all partitions x rows
@@ -499,14 +499,14 @@ def _write_partition_manifests(
         exact = _exact_violation_counts(stats, schema)
         for check, cnt in exact.items():
             vcounts[check] = cnt
-        m = ckpt.make_manifest(run_id, pid, files, stats, dict(vcounts))
+        m = ckpt.make_manifest(run_id, pid, files, stats, dict(vcounts), lineages[pid])
         ckpt.write_manifest(ckpt_dir, m)
         # return the in-memory stats too so the caller's global fold does
         # not re-deserialize every digest it just encoded
         return pid, (m, stats)
 
-    # each manifest write is tiny but does real I/O (lineage content sample
-    # + atomic write); at hundreds of shards the serial loop is ~1s of
+    # each manifest write is tiny but does real work (digest encode +
+    # atomic write); at hundreds of shards the serial loop is ~1s of
     # driver tail, so fan out over threads (writes are independent files)
     import concurrent.futures
 

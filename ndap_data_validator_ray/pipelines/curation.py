@@ -161,9 +161,7 @@ def curate_documents(
     # -store URIs the workers need the driver's AWS_* config (endpoint
     # override / credentials), which they won't have if the env was set
     # after the Ray workers started (exactly the moto test harness shape)
-    import os as _os
-
-    _aws_env = {k: v for k, v in _os.environ.items() if k.startswith("AWS_")}
+    _aws_env = vfs.aws_env()
 
     def dedup_write_bucket(group: pd.DataFrame, bid: int) -> pd.DataFrame:
         """Finalize ONE dedup bucket: keep decision, survivor file,

@@ -16125,9 +16125,10 @@ def pps_systematic_sample_customers(sf_dir: str) -> pd.DataFrame:
     rev = c["rev"].to_numpy(np.int64)
     cum = np.cumsum(rev)
     tot = int(cum[-1]) if len(cum) else 0
-    step = tot // 50 if tot else 1
-    prev = cum - rev
-    keep = (cum // step) > (prev // step)
+    # a total under 50 cents gives step 0: the twin's cum // 0 is NULL and
+    # selects nothing, so return the empty frame rather than divide by 0
+    step = tot // 50
+    keep = (cum // step) > ((cum - rev) // step) if step else np.zeros(len(c), dtype=bool)
     out = pd.DataFrame(
         {
             "o_custkey": c["o_custkey"].to_numpy(np.int64)[keep],

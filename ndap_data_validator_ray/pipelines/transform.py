@@ -1,11 +1,11 @@
-"""Standalone coercion transforms — the reference's dtype/role coercion as
-usable dataset operators (not just validation-internal kernels).
+"""Standalone coercion transform — the reference's dtype coercion as a
+usable dataset operator (not just a validation-internal kernel).
 
-Reference counterparts: ``coerce_dataframe_to_selected_types``
-(``validation.py:93-123``, the explicit-dtype path) and
-``coerce_dataframe_by_roles`` (``validation.py:200-231``).  The reference
+Reference counterpart: ``coerce_dataframe_to_selected_types``
+(``validation.py:93-123``, the explicit-dtype path); role-driven coercion
+runs inside the validation stage (``functions/coercion.coerce_by_role``).  The reference
 never persists coerced data (publish uploads original bytes verbatim,
-``main.py:1396``); these operators exist for pipelines that *do* want the
+``main.py:1396``); this operator exists for pipelines that *do* want the
 typed table, streaming batch-by-batch instead of whole-file pandas.
 """
 
@@ -39,24 +39,6 @@ def coerce_table(ds: "ray.data.Dataset", dtype_selection: dict[str, str]) -> "ra
             desired = dtype_selection.get(name, "string")
             kernel = _DTYPE_KERNELS.get(desired, _DTYPE_KERNELS["string"])
             cols[name], _errs = kernel(batch[name])
-        return pa.table(cols)
-
-    return ds.map_batches(fn, batch_format="pyarrow")
-
-
-def coerce_table_by_roles(
-    ds: "ray.data.Dataset",
-    role_selection: dict[str, str],
-    measure_type_selection: dict[str, str] | None = None,
-) -> "ray.data.Dataset":
-    """Role-driven variant (reference ``coerce_dataframe_by_roles``)."""
-    mts = measure_type_selection or {}
-
-    def fn(batch: pa.Table) -> pa.Table:
-        cols = {}
-        for name in batch.column_names:
-            role = role_selection.get(name, "Others")
-            cols[name], _errs = co.coerce_by_role(batch[name], role, mts.get(name, "float"))
         return pa.table(cols)
 
     return ds.map_batches(fn, batch_format="pyarrow")

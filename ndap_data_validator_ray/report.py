@@ -138,10 +138,6 @@ class TableStats:
         return out
 
 
-def empty_stats() -> TableStats:
-    return TableStats()
-
-
 def finalize_report(
     schema: TableSchema,
     stats: TableStats,

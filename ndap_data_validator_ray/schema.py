@@ -15,7 +15,7 @@ range, referential, audio consistency, drift) that the reference lacks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 ROLE_OPTIONS = ["Location", "Time", "Measures", "Others"]
 MEASURE_TYPES = ["integer", "float"]
@@ -196,20 +196,3 @@ def load_rule_schemas(path: str) -> str:
             if isinstance(flags, dict)
         }
     return raw.get("defaultSchema") or DEFAULT_RULE_SCHEMA
-
-
-def to_json(schema: TableSchema) -> dict[str, Any]:
-    return {
-        "rule_schema": schema.rule_schema,
-        "columns": [
-            {k: (list(v) if isinstance(v, tuple) else v) for k, v in c.__dict__.items()} for c in schema.columns
-        ],
-    }
-
-
-def from_json(obj: dict[str, Any]) -> TableSchema:
-    cols = tuple(
-        ColumnSpec(**{k: (tuple(v) if k == "domain" and v is not None else v) for k, v in c.items()})
-        for c in obj["columns"]
-    )
-    return TableSchema(columns=cols, rule_schema=obj.get("rule_schema", DEFAULT_RULE_SCHEMA))

@@ -86,6 +86,20 @@ def list_files(dir_path: str) -> list[str]:
     return _requalify(dir_path, sorted(i.path for i in infos if i.type == pafs.FileType.File))
 
 
+def file_sizes(dir_path: str) -> dict[str, int]:
+    """``{basename: size}`` of the files directly under ``dir_path``."""
+    fs, norm = resolve(dir_path)
+    infos = fs.get_file_info(pafs.FileSelector(norm, recursive=False, allow_not_found=True))
+    return {basename(i.path): int(i.size or 0) for i in infos if i.type == pafs.FileType.File}
+
+
+def aws_env() -> dict[str, str]:
+    """This process's ``AWS_*`` config.  A Ray worker started before the
+    driver set it does not inherit it: tasks that touch object-store URIs
+    get this dict and apply it first."""
+    return {k: v for k, v in os.environ.items() if k.startswith("AWS_")}
+
+
 def file_size(path: str) -> int:
     fs, p = resolve(path)
     return int(fs.get_file_info(p).size or 0)

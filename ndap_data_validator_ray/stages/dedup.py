@@ -1,14 +1,32 @@
 """Exact key-uniqueness / deduplication stages (A14, SURVEY.md §2.8).
 
-Skew handling (BASELINE.json:6 "salted keys to tame clip_id skew"): the
-shuffle input is **pre-aggregated per batch** — each batch contributes at
-most one ``(key, cnt)`` row per distinct key, so a key duplicated H times
-across the table arrives at its reducer as at most ``#batches`` partial
-rows instead of H data rows.  That batch-partial step plays the role of the
-salt/pre-combine phase of a salted two-phase aggregation, with the batch id
-acting as the implicit salt; the final ``groupby(key)`` then sums tiny
-partials.  Only the key column is ever shuffled — callers should project
-(``columns=[key]`` at the read) before calling.
+Two shapes of the same exact count:
+
+- **Exchange** (``key_counts``/``duplicate_keys``, used by the
+  ``duplicate_lineitem_pk`` query): the shuffle input is **pre-aggregated
+  per batch** — each batch contributes at most one ``(key, cnt)`` row per
+  distinct key, so a key duplicated H times across the table arrives at its
+  reducer as at most ``#batches`` partial rows instead of H data rows.  That
+  batch-partial step plays the role of the salt/pre-combine phase of a
+  salted two-phase aggregation (BASELINE.json:6 "salted keys to tame
+  clip_id skew"), with the batch id acting as the implicit salt; the final
+  bucketed merge then sums tiny partials.  Only the key column is ever
+  shuffled — callers should project (``columns=[key]`` at the read) before
+  calling.
+- **Key runs** (``write_key_run``/``key_run_duplicates``, used by clip
+  uniqueness): one immutable parquet file per input partition holding its
+  ``(h, key, cnt)`` counts sorted by ``h = stable_hash64(key)``.  Counts
+  are commutative, so the global count of any key is the sum over runs,
+  and a contiguous ``h`` range of every run holds all partials of the keys
+  in that range: B range mergers read only their row groups (parquet
+  statistics on the sorted ``h``) and sum.  No shuffle; a partition whose
+  input did not change keeps its run, so an incremental run rebuilds only
+  the changed partitions' runs (D-Streams' deterministic per-partition
+  state).  Scale limit: every merger opens every run, so a job makes
+  P runs x B ranges file opens; toward 10^12 keys (millions of
+  partitions) that product, not the bytes read, is the cost, and the
+  follow-up is a persisted bucketed count table that a delta run patches
+  in place (ROADMAP direction 6).
 """
 
 from __future__ import annotations
@@ -16,8 +34,18 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 import ray.data
+
+from ndap_data_validator_ray.functions.sketches import stable_hash64
+from ndap_data_validator_ray.sources import fs as vfs
+
+# rows per key-run row group: the grain at which a range merger skips data
+KEY_RUN_ROW_GROUP = 1 << 16
+# run bytes one range merger should read; the merge fan-out B follows
+MERGE_RANGE_BYTES = 64 << 20
 
 
 def key_counts(ds: "ray.data.Dataset", key: str, n_buckets: int = 64) -> "ray.data.Dataset":
@@ -50,6 +78,55 @@ def duplicate_keys(ds: "ray.data.Dataset", key: str) -> pa.Table:
     tbl = pa.Table.from_pandas(pdf, preserve_index=False)
     order = pa.compute.sort_indices(tbl, sort_keys=[(key, "ascending")])
     return tbl.take(order)
+
+
+def write_key_run(files: list[str], key: str, path: str) -> str:
+    """Write the key run of one partition to ``path``: one row per distinct
+    non-null ``key`` of ``files`` (nulls dropped, as ``key_counts`` does),
+    ``(h, key, cnt)`` sorted by ``h`` then key.  Reads only the key column;
+    the write is atomic, so a run is either whole or absent."""
+    cols = []
+    for f in files:
+        fs, p = vfs.resolve(f)
+        cols.extend(pq.read_table(p, columns=[key], filesystem=fs)[key].chunks)
+    keys = pa.chunked_array(cols, cols[0].type if cols else pa.string()).drop_null()
+    if pa.types.is_null(keys.type):
+        keys = keys.cast(pa.string())
+    vc = pc.value_counts(keys)
+    values = vc.field("values")
+    h = stable_hash64(values.to_numpy(zero_copy_only=False))
+    run = pa.table({"h": pa.array(h, pa.uint64()), key: values, "cnt": vc.field("counts").cast(pa.int64())})
+    run = run.take(pc.sort_indices(run, [("h", "ascending"), (key, "ascending")]))
+    sink = pa.BufferOutputStream()
+    pq.write_table(run, sink, row_group_size=KEY_RUN_ROW_GROUP)
+    vfs.write_bytes_atomic(path, sink.getvalue().to_pybytes())
+    return path
+
+
+def merge_ranges(run_bytes: int, n_cpus: int) -> list[tuple[int, int]]:
+    """Split the 64-bit hash space into B contiguous inclusive ranges, B
+    sized so each merger reads ~``MERGE_RANGE_BYTES`` of runs, at most one
+    per CPU."""
+    b = max(1, min(n_cpus, -(-run_bytes // MERGE_RANGE_BYTES)))
+    bounds = [(i << 64) // b for i in range(b + 1)]
+    return [(bounds[i], bounds[i + 1] - 1) for i in range(b)]
+
+
+def key_run_duplicates(paths: list[str], key: str, lo: int, hi: int) -> pa.Table:
+    """Keys whose ``h`` lies in ``[lo, hi]`` with a count above 1 summed
+    over the key runs ``paths``, as ``(key, cnt)``.  Reads only the row
+    groups of each run whose ``h`` statistics overlap the range; groups by
+    the true key, so a hash collision never merges two keys."""
+    rng = (pc.field("h") >= pa.scalar(lo, pa.uint64())) & (pc.field("h") <= pa.scalar(hi, pa.uint64()))
+    parts = []
+    for path in paths:
+        fs, p = vfs.resolve(path)
+        parts.append(pq.read_table(p, columns=[key, "cnt"], filters=rng, filesystem=fs))
+    if not parts:
+        return pa.table({key: pa.array([], pa.string()), "cnt": pa.array([], pa.int64())})
+    sums = pa.concat_tables(parts, promote_options="permissive").group_by(key).aggregate([("cnt", "sum")])
+    dups = sums.filter(pc.greater(sums["cnt_sum"], 1))
+    return pa.table({key: dups[key], "cnt": dups["cnt_sum"]})
 
 
 def exact_dedup(ds: "ray.data.Dataset", content_cols: list[str], keep_col: str) -> "ray.data.Dataset":

@@ -34,6 +34,8 @@ import pandas as pd
 
 import ray.data
 
+from ndap_data_validator_ray.functions.sketches import stable_hash64
+
 BUCKET_COL = "_bucket"
 
 
@@ -71,12 +73,12 @@ def _hash_stable_dtype(s: pd.Series) -> pd.Series:
 
 
 def stable_bucket(keys: pd.Series | pd.DataFrame, n_buckets: int) -> np.ndarray:
-    """Deterministic bucket ids from one or more key columns."""
+    """Deterministic bucket ids from one or more key columns:
+    ``stable_hash64(key) % n_buckets`` after dtype normalization."""
     if isinstance(keys, pd.DataFrame):
-        norm = pd.DataFrame({c: _hash_stable_dtype(keys[c]) for c in keys.columns})
-        h = pd.util.hash_pandas_object(norm, index=False).to_numpy()
+        h = stable_hash64(pd.DataFrame({c: _hash_stable_dtype(keys[c]) for c in keys.columns}))
     else:
-        h = pd.util.hash_array(_hash_stable_dtype(keys).to_numpy(), categorize=False)
+        h = stable_hash64(_hash_stable_dtype(keys).to_numpy())
     return (h % np.uint64(n_buckets)).astype(np.int64)
 
 

@@ -17,6 +17,10 @@ Rules:
   partitioning is ignored, not trusted.
 - **atomic writes** (temp + rename), so a killed run never leaves a
   half-manifest that a resume would trust.
+- **key runs** (clip uniqueness, stages/dedup.py) live in the sibling
+  ``<ckpt_dir>-keys/``: one immutable file per partition, named by its
+  ``lineage_id``, written before any merge reads it; a run whose name is
+  not a current partition's is deleted.
 - **latest-attempt-wins**: re-validating a partition overwrites its
   manifest; merged reports are rebuilt from manifests only, and the merge
   is a commutative sketch-union (report.TableStats.merge), so a resumed run
@@ -76,13 +80,24 @@ def lineage_id_for(files: list[str]) -> str:
     return h.hexdigest()[:16]
 
 
+def lineage_ids(partition_files: dict[int, list[str]]) -> dict[int, str]:
+    """``lineage_id_for`` of every partition — computed once per run and
+    shared by the resume check, the manifests and the key-run names."""
+    return {pid: lineage_id_for(files) for pid, files in partition_files.items()}
+
+
 def make_manifest(
-    run_id: str, partition_id: int, files: list[str], stats: TableStats, violation_counts: dict[str, int]
+    run_id: str,
+    partition_id: int,
+    files: list[str],
+    stats: TableStats,
+    violation_counts: dict[str, int],
+    lineage_id: str,
 ) -> PartitionManifest:
     return PartitionManifest(
         run_id=run_id,
         partition_id=partition_id,
-        lineage_id=lineage_id_for(files),
+        lineage_id=lineage_id,
         files=[vfs.basename(f) for f in files],
         rows_scanned=int(stats.rows),
         violation_counts=dict(violation_counts),
@@ -117,14 +132,23 @@ def load_manifests(ckpt_dir: str) -> dict[int, PartitionManifest]:
     return out
 
 
-def completed_partitions(ckpt_dir: str, partition_files: dict[int, list[str]]) -> set[int]:
+def completed_partitions(ckpt_dir: str, lineages: dict[int, str]) -> set[int]:
     """Partitions whose manifest exists AND whose lineage matches the
-    current file assignment (stale manifests are not trusted)."""
-    done = set()
-    for pid, m in load_manifests(ckpt_dir).items():
-        if pid in partition_files and m.lineage_id == lineage_id_for(partition_files[pid]):
-            done.add(pid)
-    return done
+    current file assignment (``lineage_ids``; stale manifests are not
+    trusted)."""
+    return {pid for pid, m in load_manifests(ckpt_dir).items() if lineages.get(pid) == m.lineage_id}
+
+
+def key_runs_dir(ckpt_dir: str) -> str:
+    """Where the partitions' key runs live (stages/dedup.py): a sibling of
+    ``ckpt_dir``, which holds manifests only."""
+    return str(ckpt_dir).rstrip("/") + "-keys"
+
+
+def key_run_name(partition_id: int, lineage_id: str) -> str:
+    """A key run is named by its partition AND lineage: a changed input
+    gets a new name, never an overwrite of a run a reader may trust."""
+    return f"partition-{partition_id:05d}-{lineage_id}.parquet"
 
 
 def merged_stats(manifests: dict[int, PartitionManifest]) -> TableStats:

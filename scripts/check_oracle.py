@@ -7,7 +7,10 @@ Usage: python scripts/check_oracle.py [--json OUT.json] [sf_dir] [query ...]
 ``--json`` archives the full result (per-query status, rows, wall time)
 — committed per round as ORACLE_LOCAL_r{N}.json so the queries outside
 the driver's sampled gate carry durable evidence (round-3 verdict item
-9).
+9).  The archive is rewritten after every query, so a run that dies
+part-way (a Ray core crash) keeps every entry that completed.
+
+Ray starts with one CPU per core this process may run on.
 """
 
 from __future__ import annotations
@@ -70,6 +73,24 @@ def compare(name: str, ray_df: pd.DataFrame, sql_df: pd.DataFrame) -> list[str]:
     return problems
 
 
+def write_archive(json_out: str, sf_dir: str, results: dict[str, dict], failures: int) -> None:
+    """Write the ``--json`` archive (temp + rename: a reader never sees a
+    half-written file)."""
+    import json
+
+    summary = {
+        "sf_dir": sf_dir,
+        "total": len(results),
+        "match": sum(1 for r in results.values() if r["status"] == "match"),
+        "rows_only": sum(1 for r in results.values() if r["status"] == "rows_only"),
+        "failures": failures,
+        "queries": results,
+    }
+    with open(json_out + ".tmp", "w") as f:
+        json.dump(summary, f, indent=1, sort_keys=True)
+    os.replace(json_out + ".tmp", json_out)
+
+
 def main() -> int:
     argv = sys.argv[1:]
     json_out = None
@@ -83,7 +104,9 @@ def main() -> int:
     import ray
 
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=8, include_dashboard=False, logging_level="ERROR")
+        ray.init(
+            address="local", num_cpus=len(os.sched_getaffinity(0)), include_dashboard=False, logging_level="ERROR"
+        )
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
@@ -101,6 +124,8 @@ def main() -> int:
     for name, (fn, sql) in REGISTRY.items():
         if only and name not in only:
             continue
+        if json_out and results:
+            write_archive(json_out, sf_dir, results, failures)
         t0 = time.time()
         try:
             ray_df = to_pandas(fn(sf_dir))
@@ -131,18 +156,7 @@ def main() -> int:
             results[name] = {"status": "match", "rows": int(len(ray_df)), "sec": round(dt, 2)}
     print(f"\n{failures} failures")
     if json_out:
-        import json as _json
-
-        summary = {
-            "sf_dir": sf_dir,
-            "total": len(results),
-            "match": sum(1 for r in results.values() if r["status"] == "match"),
-            "rows_only": sum(1 for r in results.values() if r["status"] == "rows_only"),
-            "failures": failures,
-            "queries": results,
-        }
-        with open(json_out, "w") as f:
-            _json.dump(summary, f, indent=1, sort_keys=True)
+        write_archive(json_out, sf_dir, results, failures)
         print(f"wrote {json_out}")
     return 1 if failures else 0
 

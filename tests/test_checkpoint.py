@@ -35,20 +35,20 @@ def test_completed_partitions_rejects_stale_lineage(tmp_path):
     d = str(tmp_path / "ck")
     f1 = str(tmp_path / "a.parquet")
     _touch(f1)
-    m = ckpt.make_manifest("R1", 0, [f1], _stats(10, 1), {"not_null": 1})
+    m = ckpt.make_manifest("R1", 0, [f1], _stats(10, 1), {"not_null": 1}, ckpt.lineage_id_for([f1]))
     ckpt.write_manifest(d, m)
-    assert ckpt.completed_partitions(d, {0: [f1]}) == {0}
+    assert ckpt.completed_partitions(d, ckpt.lineage_ids({0: [f1]})) == {0}
     # file changed on disk -> manifest is stale -> partition must re-run
     _touch(f1, b"z" * 999)
-    assert ckpt.completed_partitions(d, {0: [f1]}) == set()
+    assert ckpt.completed_partitions(d, ckpt.lineage_ids({0: [f1]})) == set()
 
 
 def test_latest_attempt_wins(tmp_path):
     d = str(tmp_path / "ck")
     f1 = str(tmp_path / "a.parquet")
     _touch(f1)
-    ckpt.write_manifest(d, ckpt.make_manifest("R1", 0, [f1], _stats(10, 1), {}))
-    ckpt.write_manifest(d, ckpt.make_manifest("R2", 0, [f1], _stats(10, 3), {}))
+    ckpt.write_manifest(d, ckpt.make_manifest("R1", 0, [f1], _stats(10, 1), {}, ckpt.lineage_id_for([f1])))
+    ckpt.write_manifest(d, ckpt.make_manifest("R2", 0, [f1], _stats(10, 3), {}, ckpt.lineage_id_for([f1])))
     loaded = ckpt.load_manifests(d)
     assert loaded[0].run_id == "R2"
     assert loaded[0].stats().columns["c"].nulls == 3
@@ -69,7 +69,7 @@ def test_merged_stats_deterministic_and_complete(tmp_path):
         f = str(tmp_path / f"p{i}.parquet")
         _touch(f, bytes([i]) * (50 + i))
         files.append(f)
-        ckpt.write_manifest(d, ckpt.make_manifest("R", i, [f], _stats(100 + i, i), {}))
+        ckpt.write_manifest(d, ckpt.make_manifest("R", i, [f], _stats(100 + i, i), {}, ckpt.lineage_id_for([f])))
     total = ckpt.merged_stats(ckpt.load_manifests(d))
     assert total.rows == sum(100 + i for i in range(4))
     assert total.columns["c"].nulls == sum(range(4))
@@ -80,7 +80,7 @@ def test_manifest_roundtrip_preserves_metrics(tmp_path):
     f1 = str(tmp_path / "a.parquet")
     _touch(f1)
     st = _stats(42, 7)
-    m = ckpt.make_manifest("R9", 3, [f1], st, {"domain": 2, "range": 1})
+    m = ckpt.make_manifest("R9", 3, [f1], st, {"domain": 2, "range": 1}, ckpt.lineage_id_for([f1]))
     path = ckpt.write_manifest(d, m)
     raw = json.load(open(path))
     assert raw["rows_scanned"] == 42

@@ -37,6 +37,22 @@ def _violation_keys(out_dir: str, run_id: str, check: str) -> set[str]:
     return set(tbl.filter(pa.array(mask))["key"].to_pylist())
 
 
+def _key_runs(out_dir: str) -> list[str]:
+    return sorted(os.listdir(os.path.join(out_dir, "checkpoints-keys")))
+
+
+def _unique_bytes(out_dir: str, run_id: str) -> bytes:
+    with open(os.path.join(out_dir, f"run-{run_id}", "unique_violations.parquet"), "rb") as f:
+        return f.read()
+
+
+def _shard_duplicates(data_dir: str) -> dict[str, int]:
+    """Keys counted more than once straight from the shards (pyarrow)."""
+    ids = pa.chunked_array([pq.read_table(f, columns=["clip_id"])["clip_id"] for f in syn.clip_files(data_dir)])
+    vc = pa.compute.value_counts(ids.drop_null())
+    return {k: c for k, c in zip(vc.field("values").to_pylist(), vc.field("counts").to_pylist()) if c > 1}
+
+
 def test_overall_verdict(tiny_run):
     *_, report = tiny_run
     assert report["passed"] is False
@@ -151,11 +167,16 @@ def test_resume_from_checkpoints(clips_tiny, tmp_path):
     )
     done_before = len(os.listdir(os.path.join(part_out, "checkpoints")))
     assert done_before == 3
+    assert not os.path.exists(os.path.join(part_out, "checkpoints-keys"))  # uniqueness was off
 
     # resume over the full input: only the remaining partitions run
     rep_resumed = validate_clips(data_dir, ClipRunConfig(out_dir=part_out, run_id="K2", audio_concurrency=2))
     assert rep_resumed["partitions"]["resumed_from_checkpoint"] == [0, 1, 2]
     assert sorted(rep_resumed["partitions"]["validated_this_run"]) == [3, 4, 5]
+
+    # the done partitions had no key run: the resume built one for each
+    assert len(_key_runs(part_out)) == len(files)
+    assert _unique_bytes(part_out, "K2") == _unique_bytes(full_out, "FULL")
 
     # verdicts and exact counters identical to the uninterrupted run
     assert rep_resumed["violation_counts"] == rep_full["violation_counts"]
@@ -263,3 +284,107 @@ def test_corrupt_shard_fails_partition_not_job(clips_clean, tmp_path):
     assert rep2["partitions"]["validated_this_run"] == [1]
     assert rep2["passed"] is True
     assert rep2["rows"] == spec.n_rows
+
+
+def test_delta_uniqueness_is_byte_identical(clips_tiny, tmp_path):
+    """A resumed run that re-validates one partition merges the persisted
+    key runs of the others: its unique_violations.parquet is the full
+    run's, byte for byte, and holds the shards' exact duplicate set."""
+    data_dir, spec, goldens = clips_tiny
+    out = str(tmp_path)
+    validate_clips(data_dir, ClipRunConfig(out_dir=out, run_id="FULL", audio_concurrency=2, resume=False))
+    runs_before = _key_runs(out)
+    os.remove(os.path.join(out, "checkpoints", "partition-00002.json"))
+    rep = validate_clips(data_dir, ClipRunConfig(out_dir=out, run_id="DELTA", audio_concurrency=2))
+    assert rep["partitions"]["validated_this_run"] == [2]
+    assert _key_runs(out) == runs_before  # same inputs, same run names
+    assert _unique_bytes(out, "DELTA") == _unique_bytes(out, "FULL")
+    dup = pq.read_table(os.path.join(out, "run-DELTA", "unique_violations.parquet"))
+    assert dup.schema.types == [pa.string(), pa.int64()]
+    assert dup["clip_id"].to_pylist() == sorted(dup["clip_id"].to_pylist())
+    assert dict(zip(dup["clip_id"].to_pylist(), dup["cnt"].to_pylist())) == _shard_duplicates(data_dir)
+
+
+def test_rewritten_shard_gets_a_fresh_key_run(clips_clean, tmp_path):
+    """Rewriting a shard changes its lineage: the resume builds a run under
+    the new name, deletes the old one (never merges it), and the duplicate
+    set follows the new content."""
+    import shutil
+
+    data_dir, spec, _ = clips_clean
+    data = str(tmp_path / "data")
+    shutil.copytree(data_dir, data)
+    out = str(tmp_path / "run")
+    rep1 = validate_clips(data, ClipRunConfig(out_dir=out, run_id="A", audio_concurrency=2))
+    assert rep1["violation_counts"]["unique"] == 0
+    old_runs = _key_runs(out)
+    assert len(old_runs) == spec.n_files
+
+    files = syn.clip_files(data)
+    shard = pq.read_table(files[1])
+    taken = pq.read_table(files[0], columns=["clip_id"])["clip_id"][0].as_py()
+    ids = shard["clip_id"].to_pylist()
+    ids[0] = taken  # plant one duplicate across shards 0 and 1
+    pq.write_table(shard.set_column(shard.schema.get_field_index("clip_id"), "clip_id", pa.array(ids)), files[1])
+
+    rep2 = validate_clips(data, ClipRunConfig(out_dir=out, run_id="B", audio_concurrency=2))
+    assert rep2["partitions"]["validated_this_run"] == [1]
+    new_runs = _key_runs(out)
+    old_p1 = [r for r in old_runs if r.startswith("partition-00001-")]
+    new_p1 = [r for r in new_runs if r.startswith("partition-00001-")]
+    assert len(old_p1) == len(new_p1) == 1 and old_p1 != new_p1  # old run deleted
+    assert [r for r in new_runs if r not in new_p1] == [r for r in old_runs if r not in old_p1]
+    dup = pq.read_table(os.path.join(out, "run-B", "unique_violations.parquet"))
+    assert dict(zip(dup["clip_id"].to_pylist(), dup["cnt"].to_pylist())) == _shard_duplicates(data) == {taken: 2}
+    assert rep2["violation_counts"]["unique"] == 1
+
+
+def test_clip_uniqueness_does_not_shuffle(clips_clean, tmp_path, monkeypatch):
+    """validate_clips never calls Dataset.groupby: uniqueness merges the
+    persisted key runs instead of running an exchange."""
+    import ray.data
+
+    def no_groupby(self, *args, **kwargs):
+        raise AssertionError("validate_clips shuffled")
+
+    monkeypatch.setattr(ray.data.Dataset, "groupby", no_groupby)
+    data_dir, *_ = clips_clean
+    rep = validate_clips(data_dir, ClipRunConfig(out_dir=str(tmp_path), run_id="NS", audio_concurrency=2))
+    assert rep["passed"] is True
+    assert rep["violation_counts"] == {"unique": 0}
+    dup = pq.read_table(os.path.join(str(tmp_path), "run-NS", "unique_violations.parquet"))
+    assert dup.num_rows == 0 and dup.schema.names == ["clip_id", "cnt"]
+    assert dup.schema.types == [pa.string(), pa.int64()]
+
+
+def test_key_run_ranges_partition_the_count(tmp_path, monkeypatch):
+    """Range merges over runs with many row groups: every range reads only
+    its own keys, and the ranges together give the exact duplicate set
+    (nulls dropped) that one merge over the whole hash space gives."""
+    from ndap_data_validator_ray.stages import dedup
+
+    monkeypatch.setattr(dedup, "KEY_RUN_ROW_GROUP", 16)
+    rng = np.random.default_rng(3)
+    shards, runs = [], []
+    for i in range(3):
+        ids = [None if v == 0 else f"k{v}" for v in rng.integers(0, 150, size=200)]
+        shards.append(str(tmp_path / f"s{i}.parquet"))
+        pq.write_table(pa.table({"clip_id": pa.array(ids, pa.string())}), shards[-1])
+        runs.append(dedup.write_key_run([shards[-1]], "clip_id", str(tmp_path / f"run{i}.parquet")))
+    assert pq.ParquetFile(runs[0]).metadata.num_row_groups > 4
+    run0 = pq.read_table(runs[0])
+    assert run0["h"].to_pylist() == sorted(run0["h"].to_pylist())
+
+    ranges = dedup.merge_ranges(4 * dedup.MERGE_RANGE_BYTES, 4)
+    assert len(ranges) == 4 and ranges[0][0] == 0 and ranges[-1][1] == 2**64 - 1
+    parts = [dedup.key_run_duplicates(runs, "clip_id", lo, hi) for lo, hi in ranges]
+    got = {}
+    for part in parts:
+        keys = part["clip_id"].to_pylist()
+        assert not set(got) & set(keys)  # a key belongs to one range only
+        got.update(zip(keys, part["cnt"].to_pylist()))
+    whole = dedup.key_run_duplicates(runs, "clip_id", 0, 2**64 - 1)
+    assert got == dict(zip(whole["clip_id"].to_pylist(), whole["cnt"].to_pylist()))
+    ids = pa.chunked_array([pq.read_table(s)["clip_id"] for s in shards]).drop_null()
+    vc = pa.compute.value_counts(ids)
+    assert got == {k: c for k, c in zip(vc.field("values").to_pylist(), vc.field("counts").to_pylist()) if c > 1}

@@ -7,6 +7,7 @@ inputs."""
 
 import numpy as np
 import pandas as pd
+import pytest
 
 import ray
 import ray.data
@@ -1416,6 +1417,34 @@ def test_pps_sampling_planted(tmp_path):
     assert 1 in set(out["o_custkey"])       # the whale is certain
     assert len(out) <= 51
     assert out["cum_cents"].is_monotonic_increasing
+
+
+# numpy reports a divide by zero as a RuntimeWarning; plain "error" would
+# also fail on Ray's own ResourceWarnings about its log files and workers
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("prices", [[0.1, 0.2, 0.05], [0.0, 0.0, 0.0]])
+def test_pps_sampling_total_under_one_step(tmp_path, prices):
+    """A revenue total under 50 cents makes the step 0: the SQL twin's
+    cum // 0 is NULL and selects nothing, and so does the engine — with
+    no numpy divide-by-zero warning on the way."""
+    import duckdb
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from ndap_data_validator_ray.pipelines.queries import _PPS_SQL, pps_systematic_sample_customers
+    from scripts.check_oracle import compare
+
+    path = str(tmp_path / "orders.parquet")
+    pq.write_table(
+        pa.table({"o_custkey": pa.array([3, 1, 2], pa.int64()), "o_totalprice": pa.array(prices, pa.float64())}),
+        path,
+    )
+    out = pps_systematic_sample_customers(str(tmp_path))
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW orders AS SELECT * FROM read_parquet('{path}')")
+    sql = con.execute(_PPS_SQL).df()
+    assert out.empty and list(out.dtypes) == [np.int64] * 3
+    assert compare("pps_systematic_sample_customers", out, sql) == []
 
 
 # --- dedup survivor quality -------------------------------------------------------------------
