@@ -33,8 +33,6 @@ import pyarrow.compute as pc
 _TRUE_TOKENS = ["true", "t", "yes", "y", "1"]
 _FALSE_TOKENS = ["false", "f", "no", "n", "0"]
 
-DATATYPE_OPTIONS = ["string", "integer", "float", "boolean", "date", "datetime", "category"]
-
 _TIME_NAME_TOKENS = ("date", "time", "year", "month")
 
 

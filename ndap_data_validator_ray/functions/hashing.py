@@ -11,8 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-_MERSENNE = (1 << 61) - 1
-
 
 def char_shingles(text: str, k: int = 5) -> np.ndarray:
     """Stable hashes of the k-byte shingles of ``text`` (utf-8), fully

@@ -2,14 +2,13 @@
 transcript table (the BASELINE.json metric: "validated clips/sec").
 
 One streaming pass over the data (read -> attach partition ids ->
-actor-pool audio decode -> stateless batch validation -> small union
-output), plus key runs for the global uniqueness check:
+fused audio decode + batch validation -> per-block stats compaction ->
+small union output), plus key runs for the global uniqueness check:
 
-    read_parquet(files, include_paths)            # fragments -> blocks
-      .map_batches(attach_partition_id)           # lineage (path -> pid)
-      .map_batches(AudioDecodeValidator, concurrency=N, batch_size=B)
-      .map_batches(ValidateBatch(schema))         # stats + violations union
-      .write_parquet(run_dir)                     # SMALL output (not data)
+    read_partitions(pending)                      # read + path -> pid column
+      .map_batches(AudioDecodeValidator + ValidateBatch, batch_size=B)
+      .map_batches(compact_stats)                 # one stats row per (block, pid)
+      .write_parquet(run_dir/union)               # SMALL output (not data)
 
     one Ray task per partition needing a run      # clip_id column only
       -> <ckpt_dir>-keys/partition-P-<lineage>.parquet   (h, clip_id, cnt)
@@ -25,8 +24,14 @@ algebra and the P x B file-open scale limit).
 
 Verdict logic runs on merged small state at the driver (reference shape,
 ``validation.py:352-357``); per-partition manifests make the run resumable
-(state/checkpoint.py).  Per-file failure becomes a failed-partition record,
-not a job abort — matching the reference's per-file fold (``main.py:928-936``).
+(state/checkpoint.py).  The global total folds, in ascending partition id,
+the done partitions' manifests (loaded once by the resume check: current
+partitions under their current lineage only) and this run's in-memory
+stats; a manifest of a partition that no longer exists is never folded.
+Per-file failure becomes a failed-partition record, not a job abort —
+matching the reference's per-file fold (``main.py:928-936``).  The
+partition read, stats compaction and fold, and the per-partition fallback
+are ``stages/validate.py``'s, shared with role_validation.py.
 """
 
 from __future__ import annotations
@@ -34,10 +39,9 @@ from __future__ import annotations
 import collections
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
@@ -53,10 +57,15 @@ from ndap_data_validator_ray.sources import fs as vfs
 from ndap_data_validator_ray.sources.synthetic import clip_files
 from ndap_data_validator_ray.stages.audio import AudioDecodeValidator
 from ndap_data_validator_ray.stages.dedup import key_run_duplicates, merge_ranges, write_key_run
-from ndap_data_validator_ray.stages.validate import PARTITION_COL, ValidateBatch
+from ndap_data_validator_ray.stages.validate import (
+    ValidateBatch,
+    compact_stats,
+    partition_stats,
+    read_partitions,
+    run_with_fallback,
+)
 from ndap_data_validator_ray.state import baseline as bl
 from ndap_data_validator_ray.state import checkpoint as ckpt
-from ndap_data_validator_ray.functions.sketches import deserialize
 
 _KEY = "clip_id"
 
@@ -73,7 +82,6 @@ def _mark(label: str, t0: float) -> None:
 class ClipRunConfig:
     out_dir: str
     run_id: str = "RUN-local"
-    files_per_partition: int = 1
     batch_size: int = 512
     # actor-pool size: (min, max) autoscaling by default so the pool can
     # never reserve every CPU and starve the read/write stages (a fixed
@@ -81,44 +89,12 @@ class ClipRunConfig:
     audio_concurrency: Any = (1, 4)
     full_decode: bool = True
     violation_cap: int = 1000
-    dur_tolerance_ms: float = 10.0
     resume: bool = True
     # checkpoint manifests location; defaults to <out_dir>/checkpoints.
     # May be a URI (s3://bucket/ckpt) independent of out_dir.
     ckpt_dir: str | None = None
     baseline_path: str | None = None
-    drift_ks_threshold: float = 0.15
     check_unique: bool = True
-    extra_read_kwargs: dict = field(default_factory=dict)
-
-
-def _partition_assignment(files: list[str], files_per_partition: int) -> dict[int, list[str]]:
-    parts: dict[int, list[str]] = {}
-    for i in range(0, len(files), files_per_partition):
-        parts[i // files_per_partition] = files[i : i + files_per_partition]
-    return parts
-
-
-def _read_clip_parquet(files: list[str], **kwargs) -> "ray.data.Dataset":
-    """read_parquet that accepts local paths or URIs: remote schemes get an
-    explicit pyarrow filesystem (built from standard AWS env config) so
-    endpoint overrides / credentials reach every Ray read task."""
-    if files and vfs.is_uri(files[0]):
-        fs, _ = vfs.resolve(files[0])
-        return ray.data.read_parquet([vfs.resolve(f)[1] for f in files], filesystem=fs, **kwargs)
-    return ray.data.read_parquet(files, **kwargs)
-
-
-def _attach_partition_id(path_to_pid: dict[str, int]):
-    def fn(batch: pa.Table) -> pa.Table:
-        # dictionary-encode first: the Python dict lookup runs once per
-        # DISTINCT path (~1 per block), not once per row
-        enc = batch["path"].combine_chunks().dictionary_encode()
-        mapped = np.array([path_to_pid.get(p, -1) for p in enc.dictionary.to_pylist()], dtype=np.int64)
-        pids = pa.array(mapped[enc.indices.to_numpy(zero_copy_only=False)], pa.int64())
-        return batch.drop_columns(["path"]).append_column(PARTITION_COL, pids)
-
-    return fn
 
 
 class _DecodeValidateStage:
@@ -169,19 +145,26 @@ def validate_clips(data_dir: str, cfg: ClipRunConfig, schema: TableSchema | None
     _mark("listed files", _t0)
     if not files:
         raise FileNotFoundError(f"no clip shards under {data_dir}")
-    partitions = _partition_assignment(files, cfg.files_per_partition)
+    partitions = {pid: [f] for pid, f in enumerate(files)}
     ckpt_dir = cfg.ckpt_dir or vfs.join(cfg.out_dir, "checkpoints")
     run_dir = vfs.join(cfg.out_dir, f"run-{cfg.run_id}")
 
     lineages = ckpt.lineage_ids(partitions)
-    done = ckpt.completed_partitions(ckpt_dir, lineages) if cfg.resume else set()
+    done = ckpt.completed_partitions(ckpt_dir, lineages) if cfg.resume else {}
     pending = {pid: fs for pid, fs in partitions.items() if pid not in done}
+
+    def run(parts: dict[int, list[str]], pid: int | None):
+        ds = _build_validation_plan(parts, cfg, schema)
+        subdir = "union" if pid is None else f"union-p{pid:05d}"
+        return _execute_validation_pass(ds, parts, lineages, run_dir, ckpt_dir, cfg, schema, subdir, _t0)
 
     # key runs build concurrently with the main pass: plain Ray tasks that
     # read one column of one partition each
     runs = _KeyRuns(ckpt_dir, partitions, lineages, pending) if cfg.check_unique else None
     try:
-        new_manifests, failed_partitions = _validate_pending(pending, lineages, run_dir, ckpt_dir, cfg, schema, _t0)
+        # a pass that raises falls back to one pass per partition; a failed
+        # partition gets NO manifest, so a later resume retries it
+        new_manifests, failed_partitions = run_with_fallback(run, pending) if pending else ({}, {})
         _mark("validation pass done", _t0)
         # a failed partition's run is left out of the merge; a run that
         # could not be built fails its partition the same way
@@ -195,31 +178,17 @@ def validate_clips(data_dir: str, cfg: ClipRunConfig, schema: TableSchema | None
         _fs, _p = vfs.resolve(vfs.join(run_dir, "unique_violations.parquet"))
         pq.write_table(dup_tbl, _p, filesystem=_fs)
 
-    if done or failed_partitions or not pending:
-        # resumed/failed partitions: the checkpoint dir is the source of
-        # truth for what actually completed (latest-attempt-wins)
-        manifests = ckpt.load_manifests(ckpt_dir)
-        total = ckpt.merged_stats(manifests)
-    else:
-        # fresh full run: the manifests just written ARE the disk state —
-        # skip re-reading them, and fold the global total from the stats
-        # objects already in memory (re-deserializing every digest is pure
-        # driver-serial tail cost at high shard count)
-        manifests = {pid: m for pid, (m, _s) in new_manifests.items()}
-        total = TableStats()
-        for pid in sorted(new_manifests):
-            total = total.merge(new_manifests[pid][1])
+    # one fold over the current partitions: the done ones' manifests (as
+    # the resume check loaded them) and this run's stats, still in memory
+    folded = {**{pid: (m, m.stats()) for pid, m in done.items()}, **new_manifests}
+    total = TableStats()
+    for pid in sorted(folded):
+        total = total.merge(folded[pid][1])
     _mark("manifests merged", _t0)
 
     n_dup_keys = dup_tbl.num_rows if dup_tbl is not None else None
     baseline = bl.load_baseline(cfg.baseline_path) if cfg.baseline_path else None
-    report = rpt.finalize_report(
-        schema,
-        total,
-        duplicate_keys=n_dup_keys,
-        baseline=baseline,
-        drift_ks_threshold=cfg.drift_ks_threshold,
-    )
+    report = rpt.finalize_report(schema, total, duplicate_keys=n_dup_keys, baseline=baseline)
     report["run_id"] = cfg.run_id
     report["partitions"] = {
         "total": len(partitions),
@@ -229,7 +198,7 @@ def validate_clips(data_dir: str, cfg: ClipRunConfig, schema: TableSchema | None
     }
     if failed_partitions:
         report["passed"] = False  # per-file fold: any failed file fails the run (main.py:926-936)
-    report["violation_counts"] = _violation_counts_from_manifests(manifests)
+    report["violation_counts"] = _violation_counts(m for m, _s in folded.values())
     if n_dup_keys is not None:
         report["violation_counts"][rpt.CHECK_UNIQUE] = n_dup_keys
 
@@ -238,45 +207,6 @@ def validate_clips(data_dir: str, cfg: ClipRunConfig, schema: TableSchema | None
         vfs.join(run_dir, "report.json"), json.dumps(report, indent=1, default=str).encode()
     )
     return report
-
-
-def _validate_pending(
-    pending: dict[int, list[str]],
-    lineages: dict[int, str],
-    run_dir: str,
-    ckpt_dir: str,
-    cfg: ClipRunConfig,
-    schema: TableSchema,
-    _t0: float,
-) -> tuple[dict[int, tuple[ckpt.PartitionManifest, TableStats]], dict[int, str]]:
-    """Validate the pending partitions: (new manifests, failed partitions)."""
-    if not pending:
-        return {}, {}
-    try:
-        main_ds = _build_validation_plan(pending, cfg, schema)
-        _mark("main plan built", _t0)
-        pass_out = _execute_validation_pass(main_ds, pending, lineages, run_dir, ckpt_dir, cfg, schema, "union", _t0)
-        return pass_out, {}
-    except Exception:
-        # a corrupt shard aborts the whole streaming pass (or its plan
-        # build); fall back to per-partition execution so every healthy
-        # partition completes and only the broken ones are recorded as
-        # failed — the reference's per-file semantics (main.py:928-936): a
-        # failing file yields a failed record, never a job abort.  Failed
-        # partitions get NO manifest, so a later resume retries them.
-        new_manifests: dict[int, tuple[ckpt.PartitionManifest, TableStats]] = {}
-        failed_partitions: dict[int, str] = {}
-        for pid, fs in pending.items():
-            try:
-                pass_ds = _build_validation_plan({pid: fs}, cfg, schema)
-                new_manifests.update(
-                    _execute_validation_pass(
-                        pass_ds, {pid: fs}, lineages, run_dir, ckpt_dir, cfg, schema, subdir=f"union-p{pid:05d}"
-                    )
-                )
-            except Exception as exc:  # noqa: BLE001 - recorded, not raised
-                failed_partitions[pid] = f"{type(exc).__name__}: {str(exc)[:200]}"
-        return new_manifests, failed_partitions
 
 
 @ray.remote
@@ -355,24 +285,14 @@ def _build_validation_plan(
     schema: TableSchema,
 ) -> "ray.data.Dataset":
     """Build (lazily) the streaming validation plan over ``pending``."""
-    pending_files = [f for fs in pending.values() for f in fs]
-    # Ray's include_paths reports scheme-less paths; key the pid map the
-    # same way so remote URIs resolve (s3://b/k -> b/k)
-    path_to_pid = {vfs.resolve(f)[1]: pid for pid, fs in pending.items() for f in fs}
-    ds = _read_clip_parquet(pending_files, include_paths=True, **cfg.extra_read_kwargs)
-    ds = ds.map_batches(_attach_partition_id(path_to_pid), batch_format="pyarrow")
+    ds = read_partitions(pending)
     # decode + validation FUSED into one actor stage: an actor (decode)
     # stage and a task (validate) stage cannot be fused by Ray, so split
     # stages would push the full decoded stream (~15GB/1M clips) through
     # the object store a second time just to shrink it to violation/stats
     # rows; fused, the actor emits only the tiny union records and one
     # pool serves both compute bodies (better CPU balance at any size)
-    validator = ValidateBatch(
-        schema,
-        key_column="clip_id",
-        violation_cap=cfg.violation_cap,
-        dur_tolerance_ms=cfg.dur_tolerance_ms,
-    )
+    validator = ValidateBatch(schema, key_column="clip_id", violation_cap=cfg.violation_cap)
     if cfg.audio_concurrency is None:
         # task mode: fully fusable with read + compact + write — every CPU
         # runs the whole chain, no fixed pool split (see _decode_validate_task)
@@ -392,17 +312,7 @@ def _build_validation_plan(
             concurrency=cfg.audio_concurrency,
             num_cpus=1,
         )
-    # compact the per-BATCH stats partials to one row per (block,
-    # partition) with a STREAMING per-block map — no shuffle, no barrier.
-    # Round 3 measured the previous ``groupby(partition_id)`` sort barrier
-    # costing 20-30s of post-decode tail at 500+ blocks (the sort cannot
-    # start until the last decode block lands); the driver-side manifest
-    # fold already groups by partition, so the cluster only needs to bound
-    # the blob count: per-block compaction caps it at ~2x block count.
-    # 10^12-scale note: at ~10^8 blocks re-introduce a hierarchical fold
-    # (bucketed groupby over the compacted rows) before the driver merge.
-    ds = ds.map_batches(_merge_partition_stats_group, batch_size=None, batch_format="pandas")
-    return ds
+    return ds.map_batches(compact_stats, batch_size=None, batch_format="pyarrow")
 
 
 def _execute_validation_pass(
@@ -414,10 +324,10 @@ def _execute_validation_pass(
     cfg: ClipRunConfig,
     schema: TableSchema,
     subdir: str,
-    _t0: float = 0.0,
+    _t0: float,
 ) -> dict[int, tuple["ckpt.PartitionManifest", TableStats]]:
     """Execute a built validation plan -> union output + per-partition
-    manifests (returned so a fresh run can skip re-reading them)."""
+    manifests (returned so the global fold need not re-read them)."""
     union_dir = vfs.join(run_dir, subdir)
     # write_parquet appends; a prior attempt that died between its union
     # write and its manifest writes would leave files this read-back fold
@@ -441,34 +351,6 @@ def _execute_validation_pass(
     return manifests
 
 
-def _merge_partition_stats_group(block: "pd.DataFrame") -> "pd.DataFrame":
-    """Per-block compactor: violations pass through; stats blobs fold into
-    one blob per partition present in the block (deterministic bytewise
-    merge order).  Commutative/associative, so block boundaries and task
-    order cannot change the final manifest fold."""
-    import pandas as pd
-
-    from ndap_data_validator_ray.functions.sketches import serialize
-
-    stats_mask = block["record_type"] == "stats"
-    if int(stats_mask.sum()) <= 1:
-        return block
-    merged_rows = []
-    for pid, g in block.loc[stats_mask].groupby("partition_id", sort=True):
-        blobs = sorted(g["stats_blob"].tolist())
-        if len(blobs) == 1:
-            merged_rows.append(g.iloc[:1])
-            continue
-        total = TableStats()
-        for blob in blobs:
-            total = total.merge(deserialize(blob))
-        row = g.iloc[:1].copy()
-        row["rows"] = int(total.rows)
-        row["stats_blob"] = [serialize(total)]
-        merged_rows.append(row)
-    return pd.concat([block.loc[~stats_mask], *merged_rows], ignore_index=True)
-
-
 def _write_partition_manifests(
     union: pa.Table,
     pending: dict[int, list[str]],
@@ -480,20 +362,15 @@ def _write_partition_manifests(
     # vectorized fold: group the (small) union output once with pandas —
     # never a per-row Python loop over all partitions x rows
     df = union.select(["record_type", "partition_id", "check", "stats_blob"]).to_pandas()
-    stats_df = df[df["record_type"] == "stats"]
+    stats_by_pid = partition_stats(df)
     viol_df = df[df["record_type"] == "violation"]
-    blobs_by_pid = {int(pid): sorted(g["stats_blob"].tolist()) for pid, g in stats_df.groupby("partition_id")}
     vcounts_by_pid = {
         int(pid): g["check"].value_counts().to_dict() for pid, g in viol_df.groupby("partition_id")
     }
 
     def build_and_write(item: tuple[int, list[str]]) -> tuple[int, tuple["ckpt.PartitionManifest", TableStats]]:
         pid, files = item
-        stats = TableStats()
-        # deterministic fold: sort stats blobs bytewise so merge order does
-        # not depend on task completion order (resume determinism)
-        for blob in blobs_by_pid.get(pid, []):
-            stats = stats.merge(deserialize(blob))
+        stats = stats_by_pid.get(pid, TableStats())
         vcounts = collections.Counter({k: int(v) for k, v in vcounts_by_pid.get(pid, {}).items()})
         # violation ROWS are capped per batch; exact counts come from stats
         exact = _exact_violation_counts(stats, schema)
@@ -566,9 +443,9 @@ def _exact_violation_counts(stats: TableStats, schema: TableSchema) -> dict[str,
     return out
 
 
-def _violation_counts_from_manifests(manifests: dict[int, ckpt.PartitionManifest]) -> dict[str, int]:
+def _violation_counts(manifests) -> dict[str, int]:
     total: collections.Counter = collections.Counter()
-    for m in manifests.values():
+    for m in manifests:
         total.update(m.violation_counts)
     return dict(total)
 

@@ -12,39 +12,34 @@ mergeable partials instead of whole-file pandas.
 Also implements the reference's folder mode (``main.py:880-936``): many
 files validated independently under ONE role assignment, with the
 per-file fold semantics (overall pass = all files pass; a failing or
-erroring file yields a per-file failed record, never a job abort).
+erroring file yields a per-file failed record, never a job abort).  Each
+file is one partition of the same pass the clips pipeline runs: the
+partition read, per-block stats compaction, per-partition stats fold and
+per-partition fallback are ``stages/validate.py``'s.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-import pyarrow as pa
-
 import ray.data
 
 from ndap_data_validator_ray.report import TableStats, finalize_report
 from ndap_data_validator_ray.schema import TableSchema, schema_from_roles
-from ndap_data_validator_ray.stages.validate import PARTITION_COL, ValidateBatch
-from ndap_data_validator_ray.functions.sketches import deserialize
+from ndap_data_validator_ray.stages.validate import (
+    ValidateBatch,
+    compact_stats,
+    partition_stats,
+    read_partitions,
+    run_with_fallback,
+)
 
 
-def _collect_stats(union_rows: pa.Table) -> dict[int, TableStats]:
-    """Fold per-batch stats blobs into per-partition TableStats
-    (deterministic bytewise order, independent of task completion order)."""
-    per_pid: dict[int, list[bytes]] = {}
-    rec = union_rows.to_pylist()
-    for row in rec:
-        if row["record_type"] != "stats":
-            continue
-        per_pid.setdefault(row["partition_id"], []).append(row["stats_blob"])
-    out: dict[int, TableStats] = {}
-    for pid, blobs in per_pid.items():
-        total = TableStats()
-        for blob in sorted(blobs):
-            total = total.merge(deserialize(blob))
-        out[pid] = total
-    return out
+def _stats_by_partition(ds: "ray.data.Dataset", tschema: TableSchema) -> dict[int, TableStats]:
+    union = ds.map_batches(ValidateBatch(tschema), batch_format="pyarrow").map_batches(
+        compact_stats, batch_size=None, batch_format="pyarrow"
+    )
+    return partition_stats(union.to_pandas())  # small: stats partials + capped violations
 
 
 def validate_dataset(
@@ -56,9 +51,7 @@ def validate_dataset(
 ) -> dict[str, Any]:
     """Single-table validation: one streaming pass, verdict on the driver."""
     tschema = schema or schema_from_roles(role_selection, measure_type_selection, rule_schema)
-    union = ds.map_batches(ValidateBatch(tschema), batch_format="pyarrow")
-    rows = pa.Table.from_pandas(union.to_pandas(), preserve_index=False)  # small: stats partials + capped violations
-    stats = _collect_stats(rows)
+    stats = _stats_by_partition(ds, tschema)
     total = TableStats()
     for pid in sorted(stats):
         total = total.merge(stats[pid])
@@ -74,41 +67,16 @@ def validate_files(
     """Folder mode (reference ``main.py:880-936``): per-file reports under
     one role assignment + the overall fold — computed in ONE pipeline pass
     over all files (the reference loops files serially), partitioned by
-    file for the per-file verdicts."""
+    file for the per-file verdicts.  Local paths and URIs both work; each
+    report's ``"file"`` is the caller's path string."""
     tschema = schema_from_roles(role_selection, measure_type_selection, rule_schema)
     files = sorted(files)  # deterministic file ordering (main.py:660)
-    path_to_pid = {f: i for i, f in enumerate(files)}
-
-    def attach(batch: pa.Table) -> pa.Table:
-        pids = pa.array([path_to_pid.get(p, -1) for p in batch["path"].to_pylist()], pa.int64())
-        return batch.drop_columns(["path"]).append_column(PARTITION_COL, pids)
+    stats, file_errors = run_with_fallback(
+        lambda parts, _pid: _stats_by_partition(read_partitions(parts), tschema),
+        {pid: [f] for pid, f in enumerate(files)},
+    )
 
     results: list[dict[str, Any]] = []
-    passed_all = True
-    file_errors: dict[int, str] = {}
-    try:
-        ds = ray.data.read_parquet(files, include_paths=True)
-        union = ds.map_batches(attach, batch_format="pyarrow").map_batches(
-            ValidateBatch(tschema), batch_format="pyarrow"
-        )
-        rows = pa.Table.from_pandas(union.to_pandas(), preserve_index=False)
-        stats = _collect_stats(rows)
-    except Exception:
-        # a broken file aborts the fused pass: fall back to per-file
-        # validation so healthy files still verdict and only broken ones
-        # get failed records (reference main.py:928-936 semantics)
-        stats = {}
-        for pid, f in enumerate(files):
-            try:
-                ds = ray.data.read_parquet([f], include_paths=True)
-                union = ds.map_batches(attach, batch_format="pyarrow").map_batches(
-                    ValidateBatch(tschema), batch_format="pyarrow"
-                )
-                rows = pa.Table.from_pandas(union.to_pandas(), preserve_index=False)
-                stats.update(_collect_stats(rows))
-            except Exception as exc:  # noqa: BLE001 - per-file failed record
-                file_errors[pid] = f"{type(exc).__name__}: {str(exc)[:200]}"
-
     for pid, f in enumerate(files):
         st = stats.get(pid)
         if st is None:
@@ -123,10 +91,8 @@ def validate_files(
                     "rows": 0,
                 }
             )
-            passed_all = False
             continue
         rep = finalize_report(tschema, st)
         rep["file"] = f
         results.append(rep)
-        passed_all &= bool(rep["passed"])
-    return {"files": results, "passed": passed_all}
+    return {"files": results, "passed": all(bool(r["passed"]) for r in results)}

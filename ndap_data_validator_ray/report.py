@@ -46,7 +46,6 @@ CHECK_CODEC_CONSISTENCY = "audio_codec_consistency"
 CHECK_AUDIO_SILENCE = "audio_silence"
 CHECK_AUDIO_CLIPPING = "audio_clipping"
 CHECK_REFERENTIAL = "referential"
-CHECK_DRIFT = "drift"
 
 
 @dataclass

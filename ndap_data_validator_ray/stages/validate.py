@@ -20,13 +20,24 @@ data with one small output dataset:
 Violation rows are capped per (check, batch) — exact counts always live in
 the stats partials; the cap only bounds materialized rows at 10^12 scale
 (SURVEY.md §7.3).
+
+The partition mechanics both validation pipelines (clips, role folders)
+share live here too: ``read_partitions`` (read + partition-id column),
+``compact_stats`` (per-block stats fold), ``partition_stats`` (driver fold
+to one ``TableStats`` per partition) and ``run_with_fallback`` (whole pass,
+else one partition at a time — the reference's per-file semantics).
 """
 
 from __future__ import annotations
 
+from typing import Any, Callable
+
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+import ray.data
 
 from ndap_data_validator_ray import report as rpt
 from ndap_data_validator_ray.functions import coercion as co
@@ -34,6 +45,7 @@ from ndap_data_validator_ray.functions import sketches as sk
 from ndap_data_validator_ray.functions import timefmt
 from ndap_data_validator_ray.report import AudioStats, ColumnStats, TableStats
 from ndap_data_validator_ray.schema import TableSchema
+from ndap_data_validator_ray.sources import fs as vfs
 
 UNION_SCHEMA = pa.schema(
     [
@@ -251,3 +263,101 @@ class ValidateBatch:
         else:
             self._validate_subbatch(batch, -1, out_cols)
         return pa.table({k: pa.array(v, UNION_SCHEMA.field(k).type) for k, v in out_cols.items()}, schema=UNION_SCHEMA)
+
+
+def read_partitions(partitions: dict[int, list[str]]) -> "ray.data.Dataset":
+    """Read the partitions' parquet files (local paths or URIs) as one
+    Dataset whose ``PARTITION_COL`` names each row's partition.  Remote
+    schemes get an explicit pyarrow filesystem (built from standard AWS env
+    config) so endpoint overrides / credentials reach every Ray read task."""
+    files = [f for fs in partitions.values() for f in fs]
+    # Ray's include_paths reports scheme-less paths; key the pid map the
+    # same way so remote URIs resolve (s3://b/k -> b/k)
+    path_to_pid = {vfs.resolve(f)[1]: pid for pid, fs in partitions.items() for f in fs}
+    if vfs.is_uri(files[0]):
+        fs, _ = vfs.resolve(files[0])
+        ds = ray.data.read_parquet(list(path_to_pid), filesystem=fs, include_paths=True)
+    else:
+        ds = ray.data.read_parquet(files, include_paths=True)
+
+    def attach(batch: pa.Table) -> pa.Table:
+        # dictionary-encode first: the Python dict lookup runs once per
+        # DISTINCT path (~1 per block), not once per row
+        enc = batch["path"].combine_chunks().dictionary_encode()
+        mapped = np.array([path_to_pid.get(p, -1) for p in enc.dictionary.to_pylist()], dtype=np.int64)
+        pids = pa.array(mapped[enc.indices.to_numpy(zero_copy_only=False)], pa.int64())
+        return batch.drop_columns(["path"]).append_column(PARTITION_COL, pids)
+
+    return ds.map_batches(attach, batch_format="pyarrow")
+
+
+def merge_blobs(blobs) -> TableStats:
+    """Fold serialized ``TableStats`` partials in bytewise blob order, so
+    the result does not depend on task completion order."""
+    total = TableStats()
+    for blob in sorted(blobs):
+        total = total.merge(sk.deserialize(blob))
+    return total
+
+
+def compact_stats(block: pa.Table) -> pa.Table:
+    """Per-block compactor (``map_batches(compact_stats, batch_size=None)``):
+    violations pass through; the stats rows of each partition present in
+    the block fold into one, so the driver fold sees ~1 blob per (block,
+    partition).  A streaming map, not a ``groupby(partition_id)``: that
+    sort barrier cost 20-30 s of post-decode tail at 500+ blocks (at ~10^8
+    blocks, add a hierarchical fold before the driver).  Commutative and
+    associative, so block boundaries and task order cannot change the
+    result.  A block with at most one stats row per partition is returned
+    untouched."""
+    is_stats = pc.equal(block["record_type"], "stats")
+    stats = block.filter(is_stats)
+    pids = stats["partition_id"].to_numpy()
+    uniq = np.unique(pids)
+    if len(uniq) == len(pids):
+        return block
+    rows = stats["rows"].to_numpy()
+    blobs = stats["stats_blob"].to_pylist()
+    out_rows, out_blobs = [], []
+    for pid in uniq:
+        sel = np.flatnonzero(pids == pid)
+        out_rows.append(int(rows[sel].sum()))
+        out_blobs.append(blobs[sel[0]] if len(sel) == 1 else sk.serialize(merge_blobs(blobs[i] for i in sel)))
+    n = len(uniq)
+    cols = {
+        "record_type": pa.array(["stats"] * n, pa.string()),
+        "partition_id": pa.array(uniq, pa.int64()),
+        "rows": pa.array(out_rows, pa.int64()),
+        "stats_blob": pa.array(out_blobs, pa.binary()),
+    }
+    compacted = pa.table([cols.get(f.name, pa.nulls(n, f.type)) for f in block.schema], schema=block.schema)
+    return pa.concat_tables([block.filter(pc.invert(is_stats)), compacted])
+
+
+def partition_stats(union: pd.DataFrame) -> dict[int, TableStats]:
+    """One ``TableStats`` per partition from a union's stats rows."""
+    if union.empty:
+        return {}
+    stats = union[union["record_type"] == "stats"]
+    return {int(pid): merge_blobs(blobs) for pid, blobs in stats.groupby("partition_id")["stats_blob"]}
+
+
+def run_with_fallback(
+    run: Callable[[dict[int, list[str]], int | None], dict[int, Any]],
+    partitions: dict[int, list[str]],
+) -> tuple[dict[int, Any], dict[int, str]]:
+    """``run(partitions, None)``; if it raises (a corrupt file aborts the
+    whole streaming pass or its plan build), ``run({pid: files}, pid)`` for
+    each partition so every healthy one completes.  Returns (merged
+    results, ``{pid: error}`` for the partitions that raised alone)."""
+    try:
+        return run(partitions, None), {}
+    except Exception:
+        out: dict[int, Any] = {}
+        failed: dict[int, str] = {}
+        for pid, files in partitions.items():
+            try:
+                out.update(run({pid: files}, pid))
+            except Exception as exc:  # noqa: BLE001 - recorded, not raised
+                failed[pid] = f"{type(exc).__name__}: {str(exc)[:200]}"
+        return out, failed

@@ -132,11 +132,11 @@ def load_manifests(ckpt_dir: str) -> dict[int, PartitionManifest]:
     return out
 
 
-def completed_partitions(ckpt_dir: str, lineages: dict[int, str]) -> set[int]:
-    """Partitions whose manifest exists AND whose lineage matches the
-    current file assignment (``lineage_ids``; stale manifests are not
-    trusted)."""
-    return {pid for pid, m in load_manifests(ckpt_dir).items() if lineages.get(pid) == m.lineage_id}
+def completed_partitions(ckpt_dir: str, lineages: dict[int, str]) -> dict[int, PartitionManifest]:
+    """Manifests of the partitions whose manifest exists AND whose lineage
+    matches the current file assignment (``lineage_ids``; stale manifests,
+    and those of partitions that no longer exist, are not trusted)."""
+    return {pid: m for pid, m in load_manifests(ckpt_dir).items() if lineages.get(pid) == m.lineage_id}
 
 
 def key_runs_dir(ckpt_dir: str) -> str:

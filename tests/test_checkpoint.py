@@ -37,10 +37,10 @@ def test_completed_partitions_rejects_stale_lineage(tmp_path):
     _touch(f1)
     m = ckpt.make_manifest("R1", 0, [f1], _stats(10, 1), {"not_null": 1}, ckpt.lineage_id_for([f1]))
     ckpt.write_manifest(d, m)
-    assert ckpt.completed_partitions(d, ckpt.lineage_ids({0: [f1]})) == {0}
+    assert ckpt.completed_partitions(d, ckpt.lineage_ids({0: [f1]})).keys() == {0}
     # file changed on disk -> manifest is stale -> partition must re-run
     _touch(f1, b"z" * 999)
-    assert ckpt.completed_partitions(d, ckpt.lineage_ids({0: [f1]})) == set()
+    assert ckpt.completed_partitions(d, ckpt.lineage_ids({0: [f1]})) == {}
 
 
 def test_latest_attempt_wins(tmp_path):

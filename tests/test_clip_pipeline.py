@@ -247,11 +247,15 @@ def test_drift_detection(clips_clean, tmp_path):
     assert rep_same["passed"] is True
 
 
-def test_corrupt_shard_fails_partition_not_job(clips_clean, tmp_path):
+def test_corrupt_shard_fails_partition_not_job(clips_clean, tmp_path, monkeypatch, capsys):
     """A corrupt input shard yields a failed-partition record; every other
     partition still completes (reference per-file semantics,
-    main.py:928-936), and a later resume retries only the broken one."""
+    main.py:928-936), and a later resume retries only the broken one.
+    The per-partition fallback's NDAP_TIMING marks are job offsets."""
+    import re
     import shutil
+
+    monkeypatch.setenv("NDAP_TIMING", "1")
 
     data_dir, spec, _ = clips_clean
     broken_dir = str(tmp_path / "data")
@@ -264,6 +268,8 @@ def test_corrupt_shard_fails_partition_not_job(clips_clean, tmp_path):
 
     out = str(tmp_path / "run")
     rep = validate_clips(broken_dir, ClipRunConfig(out_dir=out, run_id="FT", audio_concurrency=2))
+    offsets = [float(t) for t in re.findall(r"# t\+\s*([0-9.]+)s", capsys.readouterr().err)]
+    assert offsets and max(offsets) < 3600
     assert rep["passed"] is False
     assert list(rep["partitions"]["failed"].keys()) == ["1"]
     assert rep["partitions"]["validated_this_run"] == [0, 2, 3]
@@ -284,6 +290,31 @@ def test_corrupt_shard_fails_partition_not_job(clips_clean, tmp_path):
     assert rep2["partitions"]["validated_this_run"] == [1]
     assert rep2["passed"] is True
     assert rep2["rows"] == spec.n_rows
+
+
+def test_resume_folds_only_current_partitions(clips_tiny, tmp_path):
+    """A resumed run over a table that lost a shard folds only the
+    partitions that exist now: the manifest left by the last partition id
+    is never counted, and the report equals a fresh run's."""
+    import shutil
+
+    data_dir, *_ = clips_tiny
+    data = str(tmp_path / "data")
+    shutil.copytree(data_dir, data)
+    out = str(tmp_path / "run")
+    validate_clips(data, ClipRunConfig(out_dir=out, run_id="A", audio_concurrency=2))
+    n_files = len(syn.clip_files(data))
+    os.remove(syn.clip_files(data)[1])
+
+    resumed = validate_clips(data, ClipRunConfig(out_dir=out, run_id="B", audio_concurrency=2))
+    fresh = validate_clips(
+        data, ClipRunConfig(out_dir=str(tmp_path / "fresh"), run_id="F", audio_concurrency=2, resume=False)
+    )
+    assert resumed["partitions"]["resumed_from_checkpoint"] == [0]  # later pids shifted onto new files
+    assert resumed["partitions"]["total"] == n_files - 1
+    assert resumed["rows"] == fresh["rows"] == sum(pq.read_metadata(f).num_rows for f in syn.clip_files(data))
+    assert resumed["violation_counts"] == fresh["violation_counts"]
+    assert resumed["per_column"] == fresh["per_column"]
 
 
 def test_delta_uniqueness_is_byte_identical(clips_tiny, tmp_path):

@@ -96,6 +96,42 @@ def test_remote_flagship_matches_local(s3_clips, tmp_path):
     assert rep["violation_counts"] == remote_report["violation_counts"]
 
 
+def test_remote_folder_mode_matches_local(s3_clips, tmp_path):
+    """Folder-mode role validation over s3:// files: the same per-file
+    reports as over the local copies, each keeping its URI as ``file``."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from ndap_data_validator_ray.pipelines.role_validation import validate_files
+
+    client = boto3.client("s3", endpoint_url=os.environ["AWS_ENDPOINT_URL"])
+    local, remote = [], []
+    for i in range(3):
+        n = 200
+        tbl = pa.table(
+            {
+                "period": [f"20{10 + (j + i) % 10}" if j % 37 else "bad" for j in range(n)],
+                "val": [str(j * (i + 1)) if j % 23 else "x" for j in range(n)],
+                "state": [f"s{j % 5}" for j in range(n)],
+            }
+        )
+        path = str(tmp_path / f"roles-{i}.parquet")
+        pq.write_table(tbl, path)
+        with open(path, "rb") as f:
+            client.put_object(Bucket=_BUCKET, Key=f"roles/roles-{i}.parquet", Body=f.read())
+        local.append(path)
+        remote.append(f"s3://{_BUCKET}/roles/roles-{i}.parquet")
+
+    roles = {"period": "Time", "val": "Measures", "state": "Location"}
+    rep_local = validate_files(local, roles, {"val": "integer"})
+    rep_remote = validate_files(remote, roles, {"val": "integer"})
+    assert [r["file"] for r in rep_remote["files"]] == remote
+    assert [r["rows"] for r in rep_remote["files"]] == [200, 200, 200]
+    strip = lambda rep: [{k: v for k, v in r.items() if k != "file"} for r in rep["files"]]
+    assert strip(rep_remote) == strip(rep_local)
+    assert rep_remote["passed"] == rep_local["passed"]
+
+
 def test_remote_checkpoint_resume(s3_clips, tmp_path):
     """Resume semantics over the object store: second run resumes every
     partition; deleting one manifest re-validates exactly that partition,
