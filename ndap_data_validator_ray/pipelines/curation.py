@@ -208,6 +208,7 @@ def curate_documents(
     processed = exchange(
         ray.data.read_parquet(data_path).map_batches(flags, batch_format="pandas"),
         hash_partitioner(["_prefix"], n_buckets),
+        n_buckets,
         dedup_write_bucket,
     ).to_pandas()
 

@@ -416,7 +416,7 @@ ORDER BY c_custkey
 
 
 def customer_counts_by_nation(sf_dir: str) -> pd.DataFrame:
-    """Broadcast dim join, Arrow-native (stages/broadcast.ArrowLookup)."""
+    """Broadcast dim join, Arrow-native (stages/broadcast.attach_lookup)."""
     from ndap_data_validator_ray.stages.broadcast import attach_lookup
 
     nat = _read(sf_dir, "nation", columns=["n_nationkey", "n_name"]).to_pandas()
@@ -1995,7 +1995,7 @@ FROM derived
 
 def supplier_stats_by_nation(sf_dir: str) -> pd.DataFrame:
     """Supplier account-balance stats per nation (Arrow-native broadcast
-    dim join — stages/broadcast.ArrowLookup)."""
+    dim join — stages/broadcast.attach_lookup)."""
     from ndap_data_validator_ray.stages.broadcast import attach_lookup
 
     nat = _read(sf_dir, "nation", columns=["n_nationkey", "n_name"]).to_pandas()
@@ -12401,16 +12401,13 @@ def label_propagation_parts(sf_dir: str) -> pd.DataFrame:
                 labels.map_batches(label_leg, batch_format="pandas"),
             ],
             hash_partitioner(["k"], nb),
+            nb,
             gather,
         )
         current = labels.map_batches(
             lambda b: b.assign(side=np.ones(len(b), dtype=np.int64)), batch_format="pandas"
         )
-        labels = (
-            exchange([proposals, current], hash_partitioner(["node"], nb), vote)
-            .repartition(min(nb, 32))
-            .materialize()
-        )
+        labels = exchange([proposals, current], hash_partitioner(["node"], nb), nb, vote)
 
     out = labels.to_pandas().rename(columns={"node": "l_partkey", "lbl": "brand_id"})
     out["l_partkey"] = out["l_partkey"].astype(np.int64)

@@ -36,10 +36,11 @@ from ndap_data_validator_ray.stages.validate import (
 
 
 def _stats_by_partition(ds: "ray.data.Dataset", tschema: TableSchema) -> dict[int, TableStats]:
-    union = ds.map_batches(ValidateBatch(tschema), batch_format="pyarrow").map_batches(
+    # the report reads only the stats rows, so no violation row is emitted
+    union = ds.map_batches(ValidateBatch(tschema, violation_cap=0), batch_format="pyarrow").map_batches(
         compact_stats, batch_size=None, batch_format="pyarrow"
     )
-    return partition_stats(union.to_pandas())  # small: stats partials + capped violations
+    return partition_stats(union.to_pandas())  # small: one stats row per block
 
 
 def validate_dataset(

@@ -104,4 +104,4 @@ def bucketed_asof_join(
         merged = pd.merge_asof(l, r, on=_ON_COL, by=_BY_COL, direction=direction)
         return pa.Table.from_pandas(merged[left_cols + right_value_cols], schema=out_schema, preserve_index=False).replace_schema_metadata(None)
 
-    return cogroup(legs, merge_bucket, hash_partitioner([_BY_COL], n_buckets))
+    return cogroup(legs, merge_bucket, hash_partitioner([_BY_COL], n_buckets), n_buckets)

@@ -20,10 +20,10 @@ shape): edge rows (k=u, val=v) and distance rows (k=node, val=dist) ride
 the same exchange bucketed on k; each reducer builds the bucket-local
 dist lut and emits a proposal ``(v, dist(u) + 1)`` for every edge whose
 tail is currently reached.  Proposals union the standing distances into a
-min-per-node ``bucketed_groupby``.  Labels are settled (repartition +
-materialize) between rounds — the round-4 lesson: unioned mapped views
-double the block count per round and wall time grows geometrically
-without the pin.
+min-per-node ``bucketed_groupby``.  Its output is already executed and
+has one block per reduce task, so the block count stays pinned between
+rounds (the round-4 lesson: unioned mapped views double the block count
+per round and wall time grows geometrically without the pin).
 
 Scale notes: every gathered row is a homogeneous (k, val, side) int64
 tuple (the cc.py dtype contract — no typed-null padding can upcast
@@ -95,7 +95,7 @@ def _relax_round(
             }
         )
 
-    proposals = exchange(legs, hash_partitioner(["k"], n_buckets), reduce)
+    proposals = exchange(legs, hash_partitioner(["k"], n_buckets), n_buckets, reduce)
     return bucketed_groupby(proposals.union(dists), ["node"], _min_dist, _min_dist, n_buckets)
 
 
@@ -161,12 +161,9 @@ def distributed_bfs_hops(
         )
     )
 
-    def settle(ds: "ray.data.Dataset") -> "ray.data.Dataset":
-        return ds.repartition(min(nb, 32)).materialize()
-
-    dists = settle(bucketed_groupby(seeds, ["node"], _min_dist, _min_dist, nb))
+    dists = bucketed_groupby(seeds, ["node"], _min_dist, _min_dist, nb)
     for _round in range(rounds):
-        dists = settle(_relax_round(sym, dists, nb))
+        dists = _relax_round(sym, dists, nb)
 
     def finish(b: pd.DataFrame) -> pd.DataFrame:
         d = b["dist"].to_numpy(np.int64)

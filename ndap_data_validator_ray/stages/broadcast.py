@@ -1,11 +1,12 @@
 """Arrow-native broadcast dimension lookups.
 
 The broadcast-join shape (ray_guide "Joins and lookups"): the small side is
-``ray.put`` once and fetched per ACTOR in ``__init__`` (one object-store
-read each, never re-shipped per batch); the per-batch work is pure
-``pyarrow.compute`` — ``index_in`` against the key array + ``take`` on the
-value array — so fact batches stay zero-copy Arrow end to end (no pandas
-conversion, round-1 weakness)."""
+``ray.put`` once as a pair of Arrow arrays and fetched by each batch task
+(a local object-store read, never re-shipped per batch); the per-batch work
+is pure ``pyarrow.compute`` — ``index_in`` against the key array + ``take``
+on the value array — so fact batches stay zero-copy Arrow end to end (no
+pandas conversion, round-1 weakness).  A plain task map, not an actor pool:
+no actors start per call, and it runs on a one-CPU cluster."""
 
 from __future__ import annotations
 
@@ -16,44 +17,27 @@ import ray
 import ray.data
 
 
-class ArrowLookup:
-    """Actor stage: attach ``out_col`` by mapping ``key_col`` through a
-    broadcast dict; unmatched keys get null (pandas ``.map`` semantics)."""
-
-    def __init__(self, lookup_ref, key_col: str, out_col: str, keep: list[str] | None = None):
-        lookup: dict = ray.get(lookup_ref)
-        keys = list(lookup.keys())
-        self.keys = pa.array(keys)
-        self.vals = pa.array([lookup[k] for k in keys])
-        self.key_col = key_col
-        self.out_col = out_col
-        self.keep = keep
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        key = batch[self.key_col]
-        if key.type != self.keys.type:
-            key = key.cast(self.keys.type)
-        idx = pc.index_in(key, value_set=self.keys)
-        out = batch.append_column(self.out_col, pc.take(self.vals, idx))
-        return out.select(self.keep) if self.keep else out
-
-
 def attach_lookup(
     ds: "ray.data.Dataset",
     lookup: dict,
     key_col: str,
     out_col: str,
     keep: list[str] | None = None,
-    concurrency: int | tuple = (1, 4),
 ) -> "ray.data.Dataset":
-    """Broadcast ``lookup`` once and attach ``out_col`` to every batch."""
-    ref = ray.put(lookup)
-    return ds.map_batches(
-        ArrowLookup,
-        fn_constructor_kwargs={"lookup_ref": ref, "key_col": key_col, "out_col": out_col, "keep": keep},
-        batch_format="pyarrow",
-        concurrency=concurrency,
-    )
+    """Attach ``out_col`` to every batch by mapping ``key_col`` through the
+    broadcast ``lookup``; unmatched keys get null (pandas ``.map``
+    semantics)."""
+    ref = ray.put((pa.array(list(lookup)), pa.array(list(lookup.values()))))
+
+    def attach(batch: pa.Table) -> pa.Table:
+        keys, vals = ray.get(ref)
+        key = batch[key_col]
+        if key.type != keys.type:
+            key = key.cast(keys.type)
+        out = batch.append_column(out_col, pc.take(vals, pc.index_in(key, value_set=keys)))
+        return out.select(keep) if keep else out
+
+    return ds.map_batches(attach, batch_format="pyarrow")
 
 
 # Broadcast-vs-shuffle switch (the Q10 guard, generalized): below the cap

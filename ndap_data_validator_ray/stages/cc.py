@@ -15,8 +15,8 @@ Rounds"), FUSED into one exchange round (round-4 verdict item 6 — the
 two-exchange round spent ~2/3 of its wall time on Ray execution
 overhead at small scale):
 
- per round, ONE bucketed exchange + one bucketed min-groupby, all in a
- single lazy chain ending in one materialize:
+ per round, ONE bucketed exchange + one bucketed min-groupby, each
+ executed as it is built:
    - every edge (u, v), both directions, proposes ``label(u)`` to v
      (neighbor min), AND every label row, re-keyed as (label(v) -> v),
      proposes ``label(label(v))`` to v (pointer jump with the CURRENT
@@ -174,7 +174,7 @@ def _fused_round(
             {"node": lf["val"].to_numpy()[keep], "label": lab[keep].astype(np.int64).to_numpy()}
         )
 
-    proposals = exchange(legs, hash_partitioner(["k"], n_buckets), reduce)
+    proposals = exchange(legs, hash_partitioner(["k"], n_buckets), n_buckets, reduce)
     return bucketed_groupby(proposals.union(labels), ["node"], _min_label, _min_label, n_buckets)
 
 
@@ -261,16 +261,11 @@ def distributed_connected_components(
                 batch_format="pandas",
             )
         )
-    def settle(ds: "ray.data.Dataset") -> "ray.data.Dataset":
-        """Coalesce + materialize the label map between rounds.  The
-        repartition is NOT optional: each round unions two mapped views of
-        the labels, so without it the label block count DOUBLES per round
-        and per-round wall time grows geometrically (measured 1.4s -> 20s
-        by round 2 on a 50-edge graph); pinned block count keeps rounds
-        O(1) in Ray overhead."""
-        return ds.repartition(min(nb, 32)).materialize()
-
-    labels = settle(bucketed_groupby(seeds, ["node"], _min_label, _min_label, nb))
+    # each round unions two mapped views of the labels; the round's
+    # exchange output is already executed with one block per reduce task,
+    # so the label block count stays pinned (unpinned it DOUBLED per round:
+    # 1.4s -> 20s by round 2 on a 50-edge graph)
+    labels = bucketed_groupby(seeds, ["node"], _min_label, _min_label, nb)
 
     def label_sum(ds: "ray.data.Dataset") -> int:
         parts = ds.map_batches(
@@ -283,9 +278,9 @@ def distributed_connected_components(
 
     prev_sum = label_sum(labels)
     for _round in range(max_rounds):
-        # one shuffle execution per round (the settle's materialize runs the
-        # whole fused chain); label_sum then scans in-memory blocks only
-        labels = settle(_fused_round(sym, labels, nb))
+        # one exchange per round runs the whole fused chain; label_sum then
+        # scans in-memory blocks only
+        labels = _fused_round(sym, labels, nb)
         cur_sum = label_sum(labels)
         if cur_sum == prev_sum:
             break

@@ -134,7 +134,7 @@ def exact_dedup(ds: "ray.data.Dataset", content_cols: list[str], keep_col: str) 
 
     Hash-partition groupby on a content hash (full content kept alongside,
     so hash collisions cannot merge distinct contents — groups are re-split
-    on true content inside ``map_groups``)."""
+    on true content inside the reducer)."""
 
     from ndap_data_validator_ray.stages.groupby import bucketed_groupby
 

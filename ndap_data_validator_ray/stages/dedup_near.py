@@ -244,13 +244,8 @@ def verify_pairs_distributed(
     # single time instead of per exchange; blocks spill if corpus-sized
     payload = payload.materialize()
     payload_leg = payload.map_batches(tag_payload, batch_format="pandas")
-    # materialize between exchanges: groupby's key validation peeks the
-    # schema, which would execute the shuffle-ending phase-1 pipeline once
-    # just for the schema (the bucketed_join performance contract)
-    phase1 = exchange(
-        [cands.map_batches(tag_pairs, batch_format="pandas"), payload_leg], by_ida, attach_a
-    ).materialize()
-    scored = exchange([phase1, payload_leg], by_ida, attach_b_and_score)
+    phase1 = exchange([cands.map_batches(tag_pairs, batch_format="pandas"), payload_leg], by_ida, nb, attach_a)
+    scored = exchange([phase1, payload_leg], by_ida, nb, attach_b_and_score)
     return scored if as_dataset else scored.to_pandas()
 
 

@@ -111,6 +111,7 @@ def fuzzy_name_pairs(
     out = exchange(
         distinct.map_batches(tag_block, batch_format="pandas"),
         hash_partitioner(["_block"], n_buckets),
+        n_buckets,
         verify_bucket,
     ).to_pandas()
     if stats is not None:

@@ -2,10 +2,11 @@
 on top of it.
 
 ``exchange`` is the only place a Dataset is shuffled by key: rows get a
-small-int partition id, ``groupby(id).map_groups(reduce)`` runs one
-reducer per partition.  ``cogroup`` layers multi-leg joins on it (union
-schema, side marker, Arrow side-split).  Every bucketed stage routes
-through these two, so the fan-out strategy can change here alone.
+small-int partition id, and a Ray-core split/merge (split tasks per
+block, a few reduce tasks over contiguous id ranges) runs one reducer call
+per partition.  ``cogroup`` layers multi-leg joins on it (union schema,
+side marker, Arrow side-split).  Every bucketed stage routes through these
+two, so the fan-out strategy can change here alone.
 
 ``Dataset.groupby(key).aggregate(...)`` in this Ray version sort-shuffles on
 the raw key; with 10^5+ distinct keys the sort dominates (measured 29s vs
@@ -21,7 +22,8 @@ hash aggregation (ray_guide "Joins and lookups" / "Aggregation at scale"):
 3. one ``exchange`` whose reducer does an in-memory pandas merge of its
    bucket's partials.
 
-``n_buckets`` is the cluster-parallelism knob: ~2-4x the worker count.
+``n_buckets`` bounds the exchange's reduce tasks; how many run is sized by
+the input (see ``exchange``).
 Correct for any commutative partial/merge pair (same algebra as the
 checkpoint sketches)."""
 
@@ -32,11 +34,11 @@ from typing import Callable
 import numpy as np
 import pandas as pd
 
+import pyarrow as pa
+import ray
 import ray.data
 
 from ndap_data_validator_ray.functions.sketches import stable_hash64
-
-BUCKET_COL = "_bucket"
 
 
 def default_n_buckets() -> int:
@@ -44,8 +46,6 @@ def default_n_buckets() -> int:
     parallelism knob), clamped so tiny test clusters still spread and a
     big cluster doesn't explode tiny inputs into thousands of groups."""
     try:
-        import ray
-
         cpus = int(ray.cluster_resources().get("CPU", 16)) if ray.is_initialized() else 16
     except Exception:
         cpus = 16
@@ -93,56 +93,142 @@ def hash_partitioner(key_cols: list[str], n_buckets: int) -> Callable:
     return partition_of
 
 
+# Input bytes one reduce task is sized to take (see ``exchange``).
+EXCHANGE_TASK_BYTES = 64 << 20
+
+
+def _take(batch, idx: np.ndarray):
+    return batch.take(idx) if not isinstance(batch, pd.DataFrame) else batch.iloc[idx]
+
+
+@ray.remote
+def _split_task(block, partition_of: Callable, batch_format: str, bounds: np.ndarray):
+    """One block -> one ``(rows, pids)`` slice per reduce task, rows sorted
+    by pid (stable, so a pid's rows keep block order), plus the slices'
+    row counts as the last return."""
+    from ray.data.block import BlockAccessor
+
+    batch = BlockAccessor.for_block(block).to_batch_format(batch_format)
+    pids = np.asarray(partition_of(batch), dtype=np.int64)
+    order = np.argsort(pids, kind="stable")
+    pids = pids[order]
+    if len(pids) and (pids[0] < 0 or pids[-1] >= bounds[-1]):
+        raise ValueError(f"partition id out of range [0, {bounds[-1]}): {pids[0]}..{pids[-1]}")
+    cuts = np.searchsorted(pids, bounds)
+    slices = [(_take(batch, order[a:b]), pids[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+    return (*slices, np.diff(cuts))
+
+
+@ray.remote
+def _reduce_task(reduce: Callable, *parts):
+    """Concatenate one reduce task's slices in leg/block order and call
+    ``reduce(group, pid)`` once per pid, ascending.  Returns the output
+    block and its metadata."""
+    from ray.data._internal.delegating_block_builder import DelegatingBlockBuilder
+    from ray.data.block import BlockExecStats, BlockMetadataWithSchema
+
+    stats = BlockExecStats.builder()
+    batches = [b for b, _ in parts]
+    pids = np.concatenate([p for _, p in parts])
+    if isinstance(batches[0], pd.DataFrame):
+        data = pd.concat(batches, ignore_index=True)
+    else:
+        data = pa.concat_tables(batches, promote_options="permissive")
+    if len(parts) > 1:  # each slice is pid-sorted, their concatenation is not
+        order = np.argsort(pids, kind="stable")
+        pids, data = pids[order], _take(data, order)
+    starts = np.flatnonzero(np.r_[True, pids[1:] != pids[:-1]])
+    ends = np.r_[starts[1:], len(pids)]
+    builder = DelegatingBlockBuilder()
+    for a, b in zip(starts, ends):
+        group = data.iloc[a:b].reset_index(drop=True) if isinstance(data, pd.DataFrame) else data.slice(a, b - a)
+        builder.add_batch(reduce(group, int(pids[a])))
+    block = builder.build()
+    return block, BlockMetadataWithSchema.from_block(block, stats=stats.build())
+
+
+def _await(refs: list) -> list:
+    """``ray.get`` that first lets every ref finish, so a failing task
+    never leaves its siblings running behind the raised error."""
+    if refs:
+        ray.wait(refs, num_returns=len(refs), fetch_local=False)
+    return ray.get(refs)
+
+
+def _from_block_refs(blocks: list, metas: list) -> "ray.data.Dataset":
+    """An already-executed Dataset over reducer output blocks, in order."""
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.from_operators import FromBlocks
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data.context import DataContext
+    from ray.data.dataset import MaterializedDataset
+
+    plan = ExecutionPlan(DatasetStats(metadata={"FromBlocks": metas}, parent=None), DataContext.get_current().copy())
+    return MaterializedDataset(plan, LogicalPlan(FromBlocks(blocks, metas), plan._context))
+
+
 def exchange(
     ds: "ray.data.Dataset | list[ray.data.Dataset]",
     partition_of: Callable,
+    n_partitions: int,
     reduce: Callable,
     batch_format: str = "pandas",
 ) -> "ray.data.Dataset":
     """The engine's one shuffle: route every row to the reducer of its
-    partition and run ``reduce(group, partition_id)`` once per partition.
+    partition and run ``reduce(group, partition_id)`` once per non-empty
+    partition, in ascending partition id.
 
-    ``ds`` is one Dataset or a list of legs with one schema; each leg is
-    tagged with ``partition_of(batch)`` (an int array, one id per row)
-    before the legs union, so the tag fuses into the leg's last map.  The
-    exchange itself is ``groupby(id).map_groups`` on that small int
-    domain — the sort shuffle never sees the raw key space.  ``reduce``
-    gets the group without the id column, in ``batch_format``.  Choosing a
-    different fan-out strategy means changing this function only."""
-    import pyarrow as pa
+    ``ds`` is one Dataset or a list of legs with one schema;
+    ``partition_of(batch)`` gives each row an id in ``[0, n_partitions)``.
+    The shuffle is a Ray-core split/merge over the legs' blocks: R reduce
+    tasks, R = ``min(n_partitions, max(cluster CPUs, input bytes /
+    EXCHANGE_TASK_BYTES))``, so the fan-out follows the data and not the
+    key domain.  One split task per non-empty block cuts it into R slices
+    by contiguous pid range; reduce task j concatenates its slices in
+    leg/block/row order and calls ``reduce`` per pid, with the group in
+    ``batch_format`` and without the id.  Every task is awaited before
+    this returns or raises, and the result is an already-executed
+    Dataset whose blocks come out in ascending pid order."""
+    legs = ds if isinstance(ds, list) else [ds]
+    blocks = [
+        (ref, meta)
+        for leg in legs
+        for bundle in leg.iter_internal_ref_bundles()
+        for ref, meta in bundle.blocks
+        if meta.num_rows != 0
+    ]
+    in_bytes = sum(meta.size_bytes or 0 for _, meta in blocks)
+    cpus = int(ray.cluster_resources().get("CPU", 1))
+    n_tasks = max(1, min(n_partitions, max(cpus, -(-in_bytes // EXCHANGE_TASK_BYTES))))
+    # reduce task j owns pids [bounds[j], bounds[j + 1])
+    bounds = np.array([j * n_partitions // n_tasks for j in range(n_tasks + 1)], dtype=np.int64)
 
-    if batch_format == "pyarrow":
-
-        def tag(batch: "pa.Table") -> "pa.Table":
-            return batch.append_column(BUCKET_COL, pa.array(partition_of(batch), pa.int64()))
-
-        def run(group: "pa.Table"):
-            return reduce(group.drop_columns([BUCKET_COL]), group[BUCKET_COL][0].as_py())
-
-    else:
-
-        def tag(batch: pd.DataFrame) -> pd.DataFrame:
-            # shallow copy: the batch may be a slice of an upstream frame,
-            # and a new column must not write into it
-            out = batch.copy(deep=False)
-            out[BUCKET_COL] = partition_of(batch)
-            return out
-
-        def run(group: pd.DataFrame):
-            return reduce(group.drop(columns=[BUCKET_COL]), int(group[BUCKET_COL].iloc[0]))
-
-    legs = [leg.map_batches(tag, batch_format=batch_format) for leg in (ds if isinstance(ds, list) else [ds])]
-    tagged = legs[0].union(*legs[1:]) if len(legs) > 1 else legs[0]
-    return tagged.groupby(BUCKET_COL).map_groups(run, batch_format=batch_format)
+    fn_ref = ray.put(partition_of)
+    splits = [
+        _split_task.options(num_returns=n_tasks + 1).remote(ref, fn_ref, batch_format, bounds)
+        for ref, _ in blocks
+    ]
+    counts = _await([s[-1] for s in splits])
+    reduce_ref = ray.put(reduce)
+    outs = []
+    for j in range(n_tasks):
+        parts = [s[j] for s, c in zip(splits, counts) if c[j]]
+        if parts:
+            outs.append(_reduce_task.options(num_returns=2).remote(reduce_ref, *parts))
+    metas = _await([m for _, m in outs])
+    return _from_block_refs([b for b, _ in outs], metas)
 
 
 def cogroup(
     legs: list[tuple["ray.data.Dataset", "pa.Schema"]],
     reduce: Callable,
     partition_of: Callable,
+    n_partitions: int,
 ) -> "ray.data.Dataset":
     """Co-partition several Arrow legs: ``reduce(*sides)`` runs once per
-    partition with one Arrow table per leg.
+    non-empty partition of ``[0, n_partitions)`` with one Arrow table per
+    leg.
 
     ``legs`` pairs each Dataset with the schema of the columns it
     contributes.  Every leg is padded with typed nulls to the union of
@@ -186,7 +272,7 @@ def cogroup(
         ds.map_batches(pad(i, set(own)), batch_format="pyarrow")
         for i, ((ds, _), own) in enumerate(zip(legs, names))
     ]
-    return exchange(padded, partition_of, split, batch_format="pyarrow")
+    return exchange(padded, partition_of, n_partitions, split, batch_format="pyarrow")
 
 
 def bucketed_groupby(
@@ -212,6 +298,7 @@ def bucketed_groupby(
     return exchange(
         ds.map_batches(batch_partial, batch_format=partial_format),
         hash_partitioner(key_cols, n_buckets),
+        n_buckets,
         lambda group, _pid: local_merge(group),
     )
 

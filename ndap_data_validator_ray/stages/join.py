@@ -78,12 +78,14 @@ def bucketed_join(
     left/right/outer.
 
     Performance contract: the stage reads each side's schema up front, and
-    ``Dataset.schema()`` on a pipeline that ends in a shuffle (bucketed
-    aggregation, map_groups) EXECUTES that pipeline once just for the
-    schema — the join's own run then executes it again.  Callers joining a
-    computed/aggregated side should ``.materialize()`` it first (measured
-    9.2s -> 3.3s on the sf0.1 fact join); plain reads and map_batches
-    chains are fine as-is (schema needs one block).
+    ``Dataset.schema()`` on a lazy pipeline that ends in a Ray Data
+    shuffle (``Dataset.groupby``/``sort``/``repartition``) EXECUTES that
+    pipeline once just for the schema — the join's own run then executes
+    it again.  Callers joining such a side should ``.materialize()`` it
+    first (measured 9.2s -> 3.3s on the sf0.1 fact join).  An ``exchange``
+    output (bucketed aggregation, another join) is already executed, and
+    plain reads and map_batches chains are fine as-is (schema needs one
+    block).
 
     Skew (BASELINE.json "salted keys to tame skew"): pass ``hot_keys``
     (e.g. from ``detect_hot_keys``) and a hot LEFT key's rows are sprayed
@@ -224,4 +226,4 @@ def bucketed_join(
             merged = l.merge(r, on=on, how=how, suffixes=suffixes)
         return pa.Table.from_pandas(merged[out_schema.names], schema=out_schema, preserve_index=False).replace_schema_metadata(None)
 
-    return cogroup(legs, merge_bucket, partition_of)
+    return cogroup(legs, merge_bucket, partition_of, n_buckets)

@@ -88,5 +88,6 @@ def pack_bins(
     return exchange(
         ds.map_batches(lambda b: b[[id_col, size_col]], batch_format="pandas"),
         hash_partitioner([id_col], nb),
+        nb,
         pack,
     )

@@ -16,9 +16,9 @@ Per iteration, TWO ``stages/groupby.exchange`` calls:
      node of the symmetrized graph has out-degree >= 1, so there is no
      dangling-mass term.
 
-The rank map is settled (repartition + materialize) once per iteration
-— the same block-count pinning the CC rounds need (union legs double
-blocks geometrically otherwise).
+The rank map is an ``exchange`` output, already executed with one block
+per reduce task — the block-count pinning the CC rounds need (union legs
+double blocks geometrically otherwise).
 
 Graphs whose components are reducer-sized could instead groupby a
 component id and iterate locally (zero per-iteration exchanges); this
@@ -79,7 +79,7 @@ def distributed_pagerank(
         d = g.drop_duplicates().groupby("u", as_index=False).size()
         return pd.DataFrame({"node": d["u"].to_numpy(), "deg": d["size"].to_numpy().astype(np.int64)})
 
-    degs = exchange(sym, hash_partitioner(["u"], nb), deg_merge).materialize()
+    degs = exchange(sym, hash_partitioner(["u"], nb), nb, deg_merge)
     n_nodes = degs.count()
     if n_nodes == 0:
         return degs.map_batches(
@@ -93,7 +93,7 @@ def distributed_pagerank(
             {"node": b["node"].to_numpy(), "rank": np.full(len(b), 1.0 / n_nodes), "deg": b["deg"].to_numpy()}
         ),
         batch_format="pandas",
-    ).repartition(min(nb, 32)).materialize()
+    ).materialize()
 
     def edge_leg(b: pd.DataFrame) -> pd.DataFrame:
         return _leg(0, b["u"].to_numpy(), b["v"].to_numpy(), np.zeros(len(b)))
@@ -145,19 +145,17 @@ def distributed_pagerank(
                 ranks.map_batches(rank_leg, batch_format="pandas"),
             ],
             by_k,
+            nb,
             gather,
         )
-        ranks = (
-            exchange(
-                [
-                    contribs.map_batches(contrib_leg, batch_format="pandas"),
-                    degs.map_batches(deg_leg, batch_format="pandas"),
-                ],
-                by_k,
-                fold,
-            )
-            .repartition(min(nb, 32))
-            .materialize()
+        ranks = exchange(
+            [
+                contribs.map_batches(contrib_leg, batch_format="pandas"),
+                degs.map_batches(deg_leg, batch_format="pandas"),
+            ],
+            by_k,
+            nb,
+            fold,
         )
 
     return ranks.map_batches(lambda b: b[["node", "rank"]], batch_format="pandas")

@@ -80,4 +80,4 @@ def bucketed_range_join(
         keep = (merged[on] > merged[right_start]) & (merged[on] <= merged[right_end])
         return pa.Table.from_pandas(merged.loc[keep, left_cols + right_value_cols], schema=out_schema, preserve_index=False).replace_schema_metadata(None)
 
-    return cogroup(legs, merge_bucket, hash_partitioner([_BY_COL], n_buckets))
+    return cogroup(legs, merge_bucket, hash_partitioner([_BY_COL], n_buckets), n_buckets)

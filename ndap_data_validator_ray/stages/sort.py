@@ -127,7 +127,7 @@ class _RangePlan:
             group = group.sort_values(order_by, ascending=ascending, kind="stable", ignore_index=True)
             return fold(group, pid)
 
-        return exchange(self.ds, pid_of, run)
+        return exchange(self.ds, pid_of, self.n_pids, run)
 
 
 def global_rank(

@@ -185,5 +185,6 @@ def partitioned_window(
     return exchange(
         ds,
         hash_partitioner(partition_by, nb),
+        nb,
         lambda group, _pid: _apply_specs(group, partition_by, order_by, specs),
     )

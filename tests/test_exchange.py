@@ -1,8 +1,14 @@
 """The shared exchange (stages/groupby.exchange / cogroup): key
-co-location across batch dtypes, the SQL NULL group, empty legs, and
-partition ids that callers derive results from."""
+co-location across batch dtypes, the SQL NULL group, empty legs,
+partition ids that callers derive results from, and the Ray-core
+split/merge itself (no Ray Data shuffle, pid order, error handling)."""
 
 import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 
 import duckdb
 import numpy as np
@@ -32,7 +38,7 @@ def test_int_and_float_batches_of_one_key_reach_one_reducer():
     def reduce(group: pd.DataFrame, pid: int) -> pd.DataFrame:
         return pd.DataFrame({"k": group["k"].astype(np.float64), "v": group["v"], "pid": pid})
 
-    out = exchange(ds, hash_partitioner(["k"], 16), reduce).to_pandas()
+    out = exchange(ds, hash_partitioner(["k"], 16), 16, reduce).to_pandas()
     assert sorted(out["v"]) == [1, 2, 3, 4, 5, 6]
     pids = out.dropna(subset=["k"]).groupby("k")["pid"].nunique()
     assert pids.to_dict() == {1.0: 1, 2.0: 1, 3.0: 1}
@@ -137,3 +143,146 @@ def test_events_last_order_asof_unmatched_event_is_null(tmp_path):
     con.register("events", events)
     con.register("orders", orders)
     assert compare("events_last_order_asof", got, con.execute(_ASOF_SQL).fetchdf()) == []
+
+
+@pytest.fixture
+def no_ray_data_shuffle(monkeypatch):
+    """Make every Ray Data shuffle entry point raise."""
+
+    def refuse(*_a, **_k):
+        raise AssertionError("Ray Data shuffle called")
+
+    for name in ("groupby", "sort", "repartition"):
+        monkeypatch.setattr(ray.data.Dataset, name, refuse)
+
+
+def test_keyed_stages_run_without_a_ray_data_shuffle(no_ray_data_shuffle):
+    from ndap_data_validator_ray.stages.sort import global_rank
+
+    con = duckdb.connect()
+    rng = np.random.RandomState(5)
+    facts = pa.table({"k": pa.array(rng.randint(0, 40, 600), pa.int64()), "v": pa.array(rng.randint(0, 9, 600), pa.int64())})
+    con.register("facts", facts)
+    blocks = [facts.slice(i, 100) for i in range(0, 600, 100)]
+
+    got = sum_by_key(ray.data.from_arrow(blocks), ["k"], ["v"], n_buckets=16).to_pandas()
+    want = con.execute("SELECT k, SUM(v) AS v FROM facts GROUP BY k").fetchdf()
+    assert compare("sum_by_key", got, want) == []
+
+    con.register("l", _LEFT)
+    con.register("r", _RIGHT)
+    for how, sql in _JOIN_SQL.items():
+        got = bucketed_join(ray.data.from_arrow(_LEFT), ray.data.from_arrow(_RIGHT), on=["k"], how=how, n_buckets=4)
+        assert compare(how, _collect(got), con.execute(sql).fetchdf()) == [], how
+
+    ev = pa.table({"event_id": pa.array([1, 2, 3, 4], pa.int64()), "user_id": pa.array([7, 7, 8, 9], pa.int64()),
+                   "ts": pa.array([5, 9, 4, 3], pa.int64())})
+    od = pa.table({"o_custkey": pa.array([7, 7, 8], pa.int64()), "o_date": pa.array([6, 2, 1], pa.int64())})
+    con.register("ev", ev)
+    con.register("od", od)
+    got = bucketed_asof_join(
+        ray.data.from_arrow(ev), ray.data.from_arrow(od), on="ts", by="user_id",
+        right_on="o_date", right_by="o_custkey", n_buckets=4,
+    ).to_pandas()
+    want = con.execute(
+        "SELECT e.event_id, e.user_id, e.ts, o.o_date FROM ev e ASOF LEFT JOIN od o "
+        "ON e.user_id = o.o_custkey AND e.ts >= o.o_date"
+    ).fetchdf()
+    assert compare("asof", got, want) == []
+
+    ranked = global_rank(ray.data.from_arrow(blocks), ["k", "v"], n_parts=8).to_pandas()
+    ranked = ranked.sort_values("rank", ignore_index=True)
+    want = con.execute("SELECT k, v, ROW_NUMBER() OVER (ORDER BY k, v) AS rank FROM facts ORDER BY rank").fetchdf()
+    assert ranked["rank"].tolist() == want["rank"].tolist()
+    assert ranked[["k", "v"]].values.tolist() == want[["k", "v"]].values.tolist()
+
+
+def test_fewer_reduce_tasks_than_partitions_keep_pid_order():
+    """16 partitions on a small input run as one reduce task per CPU; each
+    task still calls the reducer once per non-empty pid, in ascending pid,
+    with its rows in leg/block/row order."""
+    n = 16
+    legs = [
+        ray.data.from_pandas([pd.DataFrame({"p": (np.arange(40) * 7 + 3 * b + leg) % n, "leg": leg, "b": b,
+                                            "row": np.arange(40)}) for b in range(3)])
+        for leg in range(2)
+    ]
+
+    def reduce(group: pd.DataFrame, pid: int) -> pd.DataFrame:
+        assert (group["p"] == pid).all()
+        order = list(zip(group["leg"], group["b"], group["row"]))
+        return pd.DataFrame({"pid": [pid], "rows": [len(group)], "ordered": [order == sorted(order)]})
+
+    out_ds = exchange(legs, lambda b: b["p"].to_numpy(), n, reduce)
+    cpus = int(ray.cluster_resources()["CPU"])
+    assert cpus < n
+    assert out_ds.num_blocks() == cpus
+    out = out_ds.to_pandas()
+    assert out["pid"].tolist() == list(range(n))
+    assert out["rows"].sum() == 240 and out["ordered"].all()
+
+
+def test_a_failing_reducer_raises_after_every_task_finished(tmp_path):
+    marker = tmp_path / "slow_reducer_done"
+
+    def reduce(group: pd.DataFrame, pid: int) -> pd.DataFrame:
+        if pid == 0:
+            raise KeyError("reducer failed")
+        if pid == 15:
+            time.sleep(1.0)
+            marker.write_text("done")
+        return group
+
+    ds = ray.data.from_pandas(pd.DataFrame({"p": np.arange(16)}))
+    with pytest.raises(KeyError):
+        exchange(ds, lambda b: b["p"].to_numpy(), 16, reduce)
+    assert marker.exists()
+
+
+def test_a_leg_of_only_zero_row_blocks_is_skipped():
+    keyed = ray.data.from_pandas(pd.DataFrame({"k": [1, 2, 3], "v": [1, 2, 3]}))
+    # zero-row blocks with no columns: partitioning them would KeyError
+    empty = keyed.map_batches(lambda b: pd.DataFrame(), batch_format="pandas")
+    part = hash_partitioner(["k"], 4)
+
+    def reduce(group: pd.DataFrame, pid: int) -> pd.DataFrame:
+        return group
+
+    out = exchange([empty, keyed], part, 4, reduce).to_pandas()
+    assert sorted(out["v"]) == [1, 2, 3]
+    assert exchange(empty, part, 4, reduce).count() == 0
+
+
+_Q18_ONE_CPU = """
+import sys
+import numpy as np, pandas as pd, ray
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+from ndap_data_validator_ray.pipelines.queries import tpch_q18_large_orders
+out = tpch_q18_large_orders(sys.argv[1])
+print(out["o_orderkey"].tolist())
+ray.shutdown()
+"""
+
+
+def test_q18_completes_on_one_cpu(tmp_path):
+    """The broadcast lookup is a task map: on a one-CPU cluster nothing
+    holds the only CPU while the scan waits for it."""
+    pd.DataFrame({"l_orderkey": np.array([1, 1, 2, 3], dtype=np.int64),
+                  "l_quantity": [200.0, 100.0, 20.0, 260.0]}).to_parquet(tmp_path / "lineitem.parquet")
+    pd.DataFrame({"o_orderkey": np.array([1, 2, 3], dtype=np.int64), "o_custkey": np.array([4, 5, 6], dtype=np.int64),
+                  "o_orderdate": pd.to_datetime(["2024-01-01", "2024-01-02", "2024-01-03"]).date}
+                 ).to_parquet(tmp_path / "orders.parquet")
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": repo}
+    env.pop("RAY_ADDRESS", None)
+    # own process group, so a hung run's Ray processes die with it
+    proc = subprocess.Popen([sys.executable, "-c", textwrap.dedent(_Q18_ONE_CPU), str(tmp_path)], cwd=repo, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("tpch_q18_large_orders did not finish in 60 s on one CPU")
+    assert proc.returncode == 0, err[-2000:]
+    assert out.strip().splitlines()[-1] == "[1, 3]"
