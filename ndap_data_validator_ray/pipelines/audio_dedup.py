@@ -66,7 +66,6 @@ def audio_fingerprints(ds: "ray.data.Dataset") -> "ray.data.Dataset":
 
 def audio_dup_groups(
     data_dir: str,
-    n_buckets: int = 16,
     stats: dict | None = None,
 ) -> pd.DataFrame:
     """Exact audio-content duplicate groups of the clips table at
@@ -107,7 +106,7 @@ def audio_dup_groups(
         agg = agg[agg["n_copies"] > 1].reset_index()
         return agg[["fp", "rep_clip_id", "n_copies", "n_clip_ids"]]
 
-    groups = bucketed_groupby(good, ["fp"], partial, merge, n_buckets=n_buckets).to_pandas()
+    groups = bucketed_groupby(good, ["fp"], partial, merge).to_pandas()
     if groups.empty:
         groups = pd.DataFrame(
             {

@@ -129,7 +129,8 @@ def curate_documents(
     bounds per-object size AND per-reducer memory: size it so
     corpus_bytes / n_buckets is a comfortable object (the default is
     cluster-sized; a 100 TB corpus wants thousands of buckets, which also
-    raises resume granularity)."""
+    raises resume granularity).  It is the one bucket count the engine
+    does not leave to the exchange: the bucket id names persisted output."""
     n_buckets = n_buckets or default_n_buckets()
     files = _input_parquet_files(data_path)
     cfg = f"{text_col}|{id_col}|{min_tokens}|{max_top_frac}|{prefix_len}|{n_buckets}"
@@ -207,9 +208,9 @@ def curate_documents(
 
     processed = exchange(
         ray.data.read_parquet(data_path).map_batches(flags, batch_format="pandas"),
-        hash_partitioner(["_prefix"], n_buckets),
-        n_buckets,
+        hash_partitioner(["_prefix"]),
         dedup_write_bucket,
+        n_partitions=n_buckets,
     ).to_pandas()
 
     # funnel counts fold from the MANIFESTS (commutative int sums): a

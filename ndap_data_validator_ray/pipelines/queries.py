@@ -101,7 +101,7 @@ def distinct_counts_lineitem(sf_dir: str) -> pd.DataFrame:
     """Exact distinct counts, scale-safe: per-batch unique (col, val)
     pairs -> bucketed per-bucket nunique -> sum of bucket partials.  Each
     distinct value lands in exactly ONE bucket, so per-bucket nunique sums
-    exactly; the driver only ever sees <= n_buckets x n_cols partial rows,
+    exactly; the driver only ever sees <= buckets x n_cols partial rows,
     never the distinct values themselves (the approximate twin is the HLL
     sketch in the clips report)."""
     from ndap_data_validator_ray.stages.groupby import bucketed_groupby
@@ -2080,7 +2080,7 @@ def events_props_json(sf_dir: str) -> pd.DataFrame:
     def merge(p: pd.DataFrame) -> pd.DataFrame:
         return p.groupby("event_type", as_index=False).sum()
 
-    out = bucketed_groupby(ds, ["event_type"], extract, merge, n_buckets=8).to_pandas()
+    out = bucketed_groupby(ds, ["event_type"], extract, merge).to_pandas()
     out["sum_k"] = out["sum_k"].astype("int64")
     return out[["event_type", "sum_k", "n"]]
 
@@ -2285,7 +2285,7 @@ def orders_collected_by_customer(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    out = bucketed_groupby(ds, ["o_custkey"], partial, merge, n_buckets=16).to_pandas()
+    out = bucketed_groupby(ds, ["o_custkey"], partial, merge).to_pandas()
     return out.sort_values("o_custkey").reset_index(drop=True)
 
 
@@ -2492,7 +2492,6 @@ def quantiles_by_returnflag(sf_dir: str) -> pd.DataFrame:
         ds.map_batches(partial, batch_format="pandas"),
         ["l_returnflag", "l_quantity"],
         ["cnt"],
-        n_buckets=8,
     ).to_pandas()
 
     rows = []
@@ -2676,7 +2675,6 @@ def revenue_rollup(sf_dir: str) -> pd.DataFrame:
         ds.map_batches(pre, batch_format="pandas"),
         ["l_returnflag", "l_linestatus"],
         ["revenue"],
-        n_buckets=8,
     ).to_pandas()
     lvl1 = detail.groupby("l_returnflag", as_index=False)["revenue"].sum()
     lvl1["l_linestatus"] = None
@@ -2793,7 +2791,7 @@ def event_users_customers_setops(sf_dir: str) -> pd.DataFrame:
             {"n_intersect": [both], "n_events_only": [e_only], "n_customers_only": [c_only]}
         )
 
-    parts = bucketed_groupby(ev.union(cu), ["k"], partial, merge, n_buckets=16).to_pandas()
+    parts = bucketed_groupby(ev.union(cu), ["k"], partial, merge).to_pandas()
     return pd.DataFrame(
         {
             "n_intersect": [np.int64(parts["n_intersect"].sum())],
@@ -3044,7 +3042,7 @@ def tpch_q5_local_supplier_volume(sf_dir: str) -> pd.DataFrame:
         sf_dir, "lineitem", columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"]
     ).map_batches(li_kept, batch_format="pyarrow")
 
-    joined = bucketed_join(li, orders, on=["o_orderkey"], how="inner", n_buckets=16)
+    joined = bucketed_join(li, orders, on=["o_orderkey"], how="inner")
 
     def nation_partial(batch: pd.DataFrame) -> pd.DataFrame:
         kept = batch[batch["c_nationkey"] == batch["s_nationkey"]]
@@ -3272,7 +3270,7 @@ def monthly_revenue_trend(sf_dir: str) -> pd.DataFrame:
         )
 
     out = sum_by_key(
-        ds.map_batches(pre, batch_format="pandas"), ["month"], ["revenue", "n_orders"], n_buckets=16
+        ds.map_batches(pre, batch_format="pandas"), ["month"], ["revenue", "n_orders"]
     ).to_pandas()
     out["revenue"] = _r2(out["revenue"])
     out["n_orders"] = out["n_orders"].astype(np.int64)
@@ -3295,7 +3293,7 @@ def mode_priority_by_status(sf_dir: str) -> pd.DataFrame:
     from ndap_data_validator_ray.stages.groupby import count_by_key
 
     ds = _read(sf_dir, "orders", columns=["o_orderstatus", "o_orderpriority"])
-    counts = count_by_key(ds, ["o_orderstatus", "o_orderpriority"], n_buckets=8, count_col="n").to_pandas()
+    counts = count_by_key(ds, ["o_orderstatus", "o_orderpriority"], count_col="n").to_pandas()
     counts = counts.sort_values(["o_orderstatus", "n", "o_orderpriority"], ascending=[True, False, True])
     out = counts.groupby("o_orderstatus", as_index=False).first()
     out["n"] = out["n"].astype(np.int64)
@@ -3321,7 +3319,7 @@ def event_type_entropy(sf_dir: str) -> pd.DataFrame:
     from ndap_data_validator_ray.stages.groupby import count_by_key
 
     counts = count_by_key(
-        _read(sf_dir, "events", columns=["event_type"]), ["event_type"], n_buckets=4
+        _read(sf_dir, "events", columns=["event_type"]), ["event_type"]
     ).to_pandas()
     p = counts["cnt"].to_numpy(np.float64) / float(counts["cnt"].sum())
     return pd.DataFrame({"entropy": [float(np.round(-(p * np.log2(p)).sum(), 6))]})
@@ -3347,7 +3345,6 @@ def revenue_cube(sf_dir: str) -> pd.DataFrame:
         ),
         ["l_returnflag", "l_linestatus"],
         ["revenue"],
-        n_buckets=8,
     ).to_pandas()
     by_flag = detail.groupby("l_returnflag", as_index=False)["revenue"].sum()
     by_flag["l_linestatus"] = None
@@ -3473,7 +3470,7 @@ def top_bigrams_documents(sf_dir: str) -> pd.DataFrame:
     parts = _read(sf_dir, "documents", columns=["text"]).map_batches(
         lambda b: bigram_counts(b["text"]), batch_format="pandas"
     )
-    counts = sum_by_key(parts, ["bigram"], ["cnt"], n_buckets=16)
+    counts = sum_by_key(parts, ["bigram"], ["cnt"])
 
     def local_topk(batch: pd.DataFrame) -> pd.DataFrame:
         return batch.sort_values(["cnt", "bigram"], ascending=[False, True]).head(20)
@@ -3543,7 +3540,7 @@ def brand_status_grid(sf_dir: str) -> pd.DataFrame:
         .unique()
     )
     st_ref = ray.put(statuses)
-    brands = count_by_key(_read(sf_dir, "part", columns=["p_brand"]), ["p_brand"], n_buckets=8)
+    brands = count_by_key(_read(sf_dir, "part", columns=["p_brand"]), ["p_brand"])
 
     def expand(batch: pd.DataFrame) -> pd.DataFrame:
         st = ray.get(st_ref)
@@ -3668,7 +3665,6 @@ def events_value_histogram(sf_dir: str) -> pd.DataFrame:
         _read(sf_dir, "events", columns=["value"]).map_batches(pre, batch_format="pandas"),
         ["bin"],
         ["n"],
-        n_buckets=8,
     ).to_pandas()
     out["n"] = out["n"].astype(np.int64)
     return out.sort_values("bin").reset_index(drop=True)[["bin", "n"]]
@@ -3699,7 +3695,7 @@ def distinct_users_by_type(sf_dir: str) -> pd.DataFrame:
     # bucket on user_id so one group's pairs may span buckets; counts are
     # still exact because a (type, user) pair lands in ONE bucket — the
     # per-bucket distinct counts are disjoint and sum on the driver
-    parts = bucketed_groupby(ds, ["user_id"], partial, merge, n_buckets=16).to_pandas()
+    parts = bucketed_groupby(ds, ["user_id"], partial, merge).to_pandas()
     out = parts.groupby("event_type", as_index=False)["n_users"].sum()
     out["n_users"] = out["n_users"].astype(np.int64)
     return out.sort_values("event_type").reset_index(drop=True)
@@ -3775,7 +3771,7 @@ def pack_documents_bins(sf_dir: str) -> pd.DataFrame:
     from ndap_data_validator_ray.stages.packing import pack_bins
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "n_chars"])
-    out = pack_bins(ds, "doc_id", "n_chars", capacity=2048, n_buckets=16).to_pandas()
+    out = pack_bins(ds, "doc_id", "n_chars", capacity=2048).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)[
         ["doc_id", "n_chars", "bin_id", "overflow"]
     ]
@@ -4329,10 +4325,10 @@ def tpch_q13_customer_distribution(sf_dir: str) -> pd.DataFrame:
         return part.groupby("c_custkey", as_index=False)["c_count"].sum()
 
     counts = bucketed_groupby(
-        filtered, ["c_custkey"], count_partial, count_merge, n_buckets=16
+        filtered, ["c_custkey"], count_partial, count_merge
     ).materialize()
     customers = _read(sf_dir, "customer", columns=["c_custkey"])
-    joined = bucketed_join(customers, counts, on=["c_custkey"], how="left", n_buckets=16)
+    joined = bucketed_join(customers, counts, on=["c_custkey"], how="left")
 
     def dist_partial(batch: pd.DataFrame) -> pd.DataFrame:
         vc = batch["c_count"].fillna(0).astype(np.int64).value_counts()
@@ -4382,7 +4378,7 @@ def reconcile_order_snapshots(sf_dir: str) -> pd.DataFrame:
 
     a = orders.map_batches(snap_a, batch_format="pyarrow")
     b = orders.map_batches(snap_b, batch_format="pyarrow")
-    j = bucketed_join(a, b, on=["k"], how="outer", n_buckets=16)
+    j = bucketed_join(a, b, on=["k"], how="outer")
 
     def classify(batch: pd.DataFrame) -> pd.DataFrame:
         status = np.where(
@@ -4445,7 +4441,7 @@ def cohort_retention_events(sf_dir: str) -> pd.DataFrame:
         g = uw.groupby(["cw", "week_offset"]).size().reset_index(name="n_users")
         return g
 
-    parts = bucketed_groupby(ds, ["user_id"], partial, merge, n_buckets=16).to_pandas()
+    parts = bucketed_groupby(ds, ["user_id"], partial, merge).to_pandas()
     out = parts.groupby(["cw", "week_offset"], as_index=False)["n_users"].sum()
     week_start = pd.Timestamp(0) + (out["cw"] * 7 - 3) * pd.Timedelta(days=1)
     out["cohort_week"] = week_start.dt.strftime("%Y-%m-%d")
@@ -4492,7 +4488,7 @@ def tpch_q18_large_orders(sf_dir: str) -> pd.DataFrame:
         return g[g["l_quantity"] > 250.0]
 
     heavy = bucketed_groupby(
-        li, ["l_orderkey"], partial, merge, n_buckets=32, partial_format="pyarrow"
+        li, ["l_orderkey"], partial, merge, partial_format="pyarrow"
     ).to_pandas()
     cols = ["o_orderkey", "o_custkey", "o_orderdate", "total_qty"]
     if heavy.empty:
@@ -5294,7 +5290,7 @@ def peak_concurrent_users_events(sf_dir: str) -> pd.DataFrame:
             s=("s", "min"), e=("e", "max")
         )
 
-    iv = bucketed_groupby(ds, ["user_id"], partial, merge, n_buckets=16)
+    iv = bucketed_groupby(ds, ["user_id"], partial, merge)
 
     def to_points(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -5350,7 +5346,7 @@ def funnel_conversion_events(sf_dir: str) -> pd.DataFrame:
     columns) ride ONE bucketed exchange on user_id; inside a bucket the
     step times resolve with vectorized per-user min/merge chains (no
     per-user Python loop); each bucket emits three counters and the
-    driver folds O(n_buckets) rows."""
+    driver folds O(buckets) rows."""
     from ndap_data_validator_ray.stages.groupby import bucketed_groupby
 
     ds = _read(sf_dir, "events", columns=["user_id", "event_type", "ts"])
@@ -5378,7 +5374,7 @@ def funnel_conversion_events(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    parts = bucketed_groupby(ds, ["user_id"], partial, merge, n_buckets=16).to_pandas()
+    parts = bucketed_groupby(ds, ["user_id"], partial, merge).to_pandas()
     return pd.DataFrame(
         {
             "step_idx": np.arange(1, 4, dtype=np.int64),
@@ -5427,7 +5423,7 @@ def compact_latest_events(sf_dir: str) -> pd.DataFrame:
         return b.groupby(["user_id", "event_type"], as_index=False).tail(1)
 
     out = bucketed_groupby(
-        ds, ["user_id", "event_type"], keep_latest, keep_latest, n_buckets=16
+        ds, ["user_id", "event_type"], keep_latest, keep_latest
     ).to_pandas()
     out["ts_us"] = out["ts"].astype("datetime64[us]").astype(np.int64)
     out["value"] = _r6(out["value"])
@@ -5502,7 +5498,6 @@ def curation_funnel_documents(sf_dir: str) -> pd.DataFrame:
 
     flagged = bucketed_groupby(
         docs.map_batches(flags, batch_format="pandas"), ["prefix"], lambda b: b, dedup_merge,
-        n_buckets=16,
     ).to_pandas()
     out = pd.DataFrame(
         {
@@ -5669,7 +5664,7 @@ def tpch_q21_waiting_supplier(sf_dir: str) -> pd.DataFrame:
         hit = per[(per["late"] == 1) & per["l_orderkey"].isin(qual)]
         return hit[["l_suppkey"]]
 
-    waiters = bucketed_groupby(joined, ["l_orderkey"], partial, merge, n_buckets=16).to_pandas()
+    waiters = bucketed_groupby(joined, ["l_orderkey"], partial, merge).to_pandas()
     sup = _read(sf_dir, "supplier", columns=["s_suppkey", "s_name"]).to_pandas()
     counts = waiters.groupby("l_suppkey").size().rename("numwait").reset_index()
     out = counts.merge(sup, left_on="l_suppkey", right_on="s_suppkey")
@@ -5825,7 +5820,7 @@ def semantic_dedup_survivors(sf_dir: str) -> pd.DataFrame:
         return pd.concat(out, ignore_index=True)
 
     edges = bucketed_groupby(
-        ds.map_batches(tag, batch_format="pandas"), ["cell"], lambda b: b, cell_pairs, n_buckets=8
+        ds.map_batches(tag, batch_format="pandas"), ["cell"], lambda b: b, cell_pairs
     ).materialize()
     nodes = ds.map_batches(lambda t: pa.table({"node": t["vec_id"]}), batch_format="pyarrow")
     comp = distributed_connected_components(edges, nodes=nodes).to_pandas()
@@ -5886,7 +5881,7 @@ def boilerplate_fraction_documents(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"doc_id": np.asarray(ids, dtype=np.int64), "gram": grams})
 
     df = count_by_key(
-        docs.map_batches(explode, batch_format="pandas"), ["gram"], n_buckets=16,
+        docs.map_batches(explode, batch_format="pandas"), ["gram"],
         partial_format="pandas",
     )
     common = df.map_batches(
@@ -5968,7 +5963,7 @@ def debounce_events(sf_dir: str) -> pd.DataFrame:
         keep = np.concatenate([[True], ~same | (dt >= gap_ns)])
         return pd.DataFrame({"event_id": g["event_id"].to_numpy()[keep].astype(np.int64)})
 
-    kept = bucketed_groupby(ds, ["user_id"], lambda b: b, merge, n_buckets=16).to_pandas()
+    kept = bucketed_groupby(ds, ["user_id"], lambda b: b, merge).to_pandas()
     return pd.DataFrame({"event_id": np.sort(kept["event_id"].to_numpy())})
 
 
@@ -6029,7 +6024,7 @@ def tpch_q20_dominant_suppliers(sf_dir: str) -> pd.DataFrame:
     li = _read(sf_dir, "lineitem", columns=["l_partkey", "l_suppkey", "l_quantity", "l_shipdate"]).map_batches(
         li_partial, batch_format="pyarrow"
     )
-    winners = bucketed_groupby(li, ["l_partkey"], lambda b: b, merge, n_buckets=16).to_pandas()
+    winners = bucketed_groupby(li, ["l_partkey"], lambda b: b, merge).to_pandas()
     sup = _read(sf_dir, "supplier", columns=["s_suppkey", "s_name"]).to_pandas()
     names = sup.loc[sup["s_suppkey"].isin(set(winners["l_suppkey"])), "s_name"]
     return pd.DataFrame({"s_name": np.sort(names.to_numpy())})
@@ -6087,7 +6082,7 @@ def tpch_q2_min_price_supplier(sf_dir: str) -> pd.DataFrame:
     li = _read(sf_dir, "lineitem", columns=["l_partkey", "l_suppkey", "l_extendedprice"]).map_batches(
         partial, batch_format="pyarrow"
     )
-    best = bucketed_groupby(li, ["l_partkey"], lambda b: b, merge, n_buckets=16).to_pandas()
+    best = bucketed_groupby(li, ["l_partkey"], lambda b: b, merge).to_pandas()
     sup = _read(sf_dir, "supplier", columns=["s_suppkey", "s_name"]).to_pandas()
     out = best.merge(sup, left_on="l_suppkey", right_on="s_suppkey")
     return pd.DataFrame(
@@ -6138,7 +6133,7 @@ def tpch_q11_important_parts(sf_dir: str) -> pd.DataFrame:
         ),
         batch_format="pyarrow",
     )
-    per = sum_by_key(li, ["l_partkey"], ["rev"], n_buckets=16).materialize()
+    per = sum_by_key(li, ["l_partkey"], ["rev"]).materialize()
     scal = per.map_batches(
         lambda b: pd.DataFrame({"s": [b["rev"].sum()], "n": [len(b)]}), batch_format="pandas"
     ).to_pandas()
@@ -6188,7 +6183,7 @@ def unigram_nll_documents(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"doc_id": np.asarray(ids, dtype=np.int64), "tok": toks})
 
     counts = count_by_key(
-        docs.map_batches(explode, batch_format="pandas"), ["tok"], n_buckets=16,
+        docs.map_batches(explode, batch_format="pandas"), ["tok"],
         partial_format="pandas",
     ).to_pandas()
     total = float(counts["cnt"].sum())
@@ -6511,7 +6506,7 @@ def dup_span_coverage_documents(sf_dir: str) -> pd.DataFrame:
 
     hits = bucketed_groupby(
         docs.map_batches(explode, batch_format="pandas"), ["gram"],
-        lambda b: b, dup_hits, n_buckets=16,
+        lambda b: b, dup_hits,
     )
 
     def cover(g: pd.DataFrame) -> pd.DataFrame:
@@ -6534,7 +6529,7 @@ def dup_span_coverage_documents(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    per = bucketed_groupby(hits, ["doc_id"], lambda b: b, cover, n_buckets=16).to_pandas()
+    per = bucketed_groupby(hits, ["doc_id"], lambda b: b, cover).to_pandas()
 
     def ntok(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -6608,7 +6603,7 @@ def zipf_slope_documents(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"tok": toks})
 
     counts = count_by_key(
-        docs.map_batches(explode, batch_format="pandas"), ["tok"], n_buckets=16,
+        docs.map_batches(explode, batch_format="pandas"), ["tok"],
         partial_format="pandas",
     ).materialize()
 
@@ -6854,13 +6849,12 @@ def bigram_pmi_documents(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"tok": vc.index.to_numpy(), "c": vc.to_numpy().astype(np.int64)})
 
     ucnt = sum_by_key(
-        texts.map_batches(uni_partial, batch_format="pandas"), ["tok"], ["c"], n_buckets=16
+        texts.map_batches(uni_partial, batch_format="pandas"), ["tok"], ["c"]
     ).materialize()
     bcnt = sum_by_key(
         texts.map_batches(lambda b: bigram_counts(b["text"]), batch_format="pandas"),
         ["bigram"],
         ["cnt"],
-        n_buckets=16,
     ).materialize()
 
     def fold_total(ds: "ray.data.Dataset", col: str) -> float:
@@ -6983,7 +6977,7 @@ def event_transitions(sf_dir: str) -> pd.DataFrame:
         )
         return g
 
-    parts = bucketed_groupby(ds, ["user_id"], lambda b: b, transitions, n_buckets=32).to_pandas()
+    parts = bucketed_groupby(ds, ["user_id"], lambda b: b, transitions).to_pandas()
     if parts.empty:
         return pd.DataFrame(
             {
@@ -7130,7 +7124,6 @@ def daily_revenue_autocorr(sf_dir: str) -> pd.DataFrame:
             orders.map_batches(day_partial, batch_format="pandas"),
             ["day"],
             ["rev"],
-            n_buckets=32,
             partial_format="pandas",
         )
         .to_pandas()
@@ -7211,7 +7204,7 @@ def cms_part_counts(sf_dir: str) -> pd.DataFrame:
     table = np.zeros((D, W), dtype=np.int64)
     table[cms["row"].to_numpy(), cms["b"].to_numpy()] = cms["cnt"].to_numpy()
 
-    counts = count_by_key(ds, ["l_partkey"], n_buckets=32, count_col="exact_cnt")
+    counts = count_by_key(ds, ["l_partkey"], count_col="exact_cnt")
 
     def local_topk(batch: pd.DataFrame) -> pd.DataFrame:
         return batch.sort_values(["exact_cnt", "l_partkey"], ascending=[False, True]).head(20)
@@ -7471,7 +7464,7 @@ def token_kl_by_source(sf_dir: str) -> pd.DataFrame:
         return part.groupby(["tok", "source"], as_index=False, dropna=False)["cnt"].sum()
 
     counts = bucketed_groupby(docs.map_batches(explode, batch_format="pandas"),
-                              ["tok"], lambda b: b, merge, n_buckets=16).materialize()
+                              ["tok"], lambda b: b, merge).materialize()
 
     def local_top(batch: pd.DataFrame) -> pd.DataFrame:
         g = batch.groupby("tok", as_index=False)["cnt"].sum().rename(columns={"cnt": "ct"})
@@ -7536,7 +7529,7 @@ def key_skew_gini_orders(sf_dir: str) -> pd.DataFrame:
     from ndap_data_validator_ray.stages.groupby import count_by_key, sum_by_key
 
     orders = _read(sf_dir, "orders", columns=["o_custkey"])
-    counts = count_by_key(orders, ["o_custkey"], n_buckets=16, count_col="c")
+    counts = count_by_key(orders, ["o_custkey"], count_col="c")
 
     def coc_partial(b: pd.DataFrame) -> pd.DataFrame:
         vc = b["c"].value_counts()
@@ -7547,7 +7540,6 @@ def key_skew_gini_orders(sf_dir: str) -> pd.DataFrame:
             counts.map_batches(coc_partial, batch_format="pandas"),
             ["c"],
             ["m"],
-            n_buckets=8,
             partial_format="pandas",
         )
         .to_pandas()
@@ -7789,7 +7781,7 @@ def mad_outlier_orders(sf_dir: str) -> pd.DataFrame:
             )
         return pd.concat(outs, ignore_index=True)
 
-    out = bucketed_groupby(orders, ["o_custkey"], lambda b: b, merge, n_buckets=16).to_pandas()
+    out = bucketed_groupby(orders, ["o_custkey"], lambda b: b, merge).to_pandas()
     out["med"] = _r6(out["med"])
     out["mad"] = _r6(out["mad"])
     return out.sort_values("o_orderkey").reset_index(drop=True)
@@ -7844,7 +7836,6 @@ def cusum_daily_revenue(sf_dir: str) -> pd.DataFrame:
             orders.map_batches(day_partial, batch_format="pandas"),
             ["day"],
             ["cents"],
-            n_buckets=32,
             partial_format="pandas",
         )
         .to_pandas()
@@ -7945,7 +7936,7 @@ def cusum_user_events(sf_dir: str) -> pd.DataFrame:
         )
 
     out = bucketed_groupby(
-        ev.map_batches(slim, batch_format="pandas"), ["user_id"], lambda b: b, merge, n_buckets=16
+        ev.map_batches(slim, batch_format="pandas"), ["user_id"], lambda b: b, merge
     ).to_pandas()
     return out.sort_values("user_id").reset_index(drop=True)
 
@@ -8004,7 +7995,7 @@ def tfidf_cosine_pairs_documents(sf_dir: str) -> pd.DataFrame:
     from ndap_data_validator_ray.stages.groupby import count_by_key
     from ndap_data_validator_ray.stages.setsim import weighted_cosine_join
 
-    K, DF_CAP, TAU, NB = 8, 100, 0.5, 16
+    K, DF_CAP, TAU = 8, 100, 0.5
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
     n_docs = docs.count()
 
@@ -8042,7 +8033,7 @@ def tfidf_cosine_pairs_documents(sf_dir: str) -> pd.DataFrame:
         )
 
     tf = docs.map_batches(tf_rows, batch_format="pandas").materialize()
-    dfc = count_by_key(tf, ["tok"], n_buckets=NB, count_col="df")
+    dfc = count_by_key(tf, ["tok"], count_col="df")
     dff = dfc.map_batches(
         lambda b: b[(b["df"] <= DF_CAP) & (b["df"] < n_docs)], batch_format="pandas"
     ).materialize()
@@ -8055,7 +8046,7 @@ def tfidf_cosine_pairs_documents(sf_dir: str) -> pd.DataFrame:
         )
 
     wrows = weighted.map_batches(weigh, batch_format="pandas")
-    return weighted_cosine_join(wrows, "doc_id", "tok", "w", threshold=TAU, n_buckets=NB)
+    return weighted_cosine_join(wrows, "doc_id", "tok", "w", threshold=TAU)
 
 
 _TFIDF_COSINE_SQL = """
@@ -8198,7 +8189,7 @@ def cumulative_new_users_events(sf_dir: str) -> pd.DataFrame:
         dc = first.groupby("d", as_index=False).size()
         return dc.rename(columns={"size": "new_users"})
 
-    parts = bucketed_groupby(ds, ["user_id"], partial, merge, n_buckets=32).to_pandas()
+    parts = bucketed_groupby(ds, ["user_id"], partial, merge).to_pandas()
     days = parts.groupby("d", as_index=False)["new_users"].sum().sort_values("d")
     return pd.DataFrame(
         {
@@ -8349,9 +8340,9 @@ def copurchase_lift_parts(sf_dir: str) -> pd.DataFrame:
         )
         return pd.DataFrame({"part_a": a, "part_b": b})
 
-    pair_rows = bucketed_groupby(li, ["l_orderkey"], distinct_partial, emit_pairs, n_buckets=32)
+    pair_rows = bucketed_groupby(li, ["l_orderkey"], distinct_partial, emit_pairs)
     pair_cnt = count_by_key(
-        pair_rows, ["part_a", "part_b"], n_buckets=32, count_col="pair_cnt",
+        pair_rows, ["part_a", "part_b"], count_col="pair_cnt",
         partial_format="pandas",
     )
     strong = pair_cnt.map_batches(
@@ -8363,7 +8354,7 @@ def copurchase_lift_parts(sf_dir: str) -> pd.DataFrame:
         return g.rename(columns={"size": "cnt"})
 
     part_cnt = bucketed_groupby(
-        li, ["l_partkey"], distinct_partial, part_freq_merge, n_buckets=32
+        li, ["l_partkey"], distinct_partial, part_freq_merge
     ).materialize()
 
     def order_count_partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -8373,7 +8364,7 @@ def copurchase_lift_parts(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"n": [p["l_orderkey"].nunique()]})
 
     n_orders = int(
-        bucketed_groupby(li, ["l_orderkey"], order_count_partial, order_count_merge, n_buckets=32)
+        bucketed_groupby(li, ["l_orderkey"], order_count_partial, order_count_merge)
         .to_pandas()["n"].sum()
     )
 
@@ -8638,7 +8629,7 @@ def rfm_segmentation_customers(sf_dir: str) -> pd.DataFrame:
             last_ts=("last_ts", "max"), freq=("freq", "sum"), cents=("cents", "sum")
         )
 
-    agg = bucketed_groupby(orders, ["o_custkey"], partial, merge, n_buckets=32).materialize()
+    agg = bucketed_groupby(orders, ["o_custkey"], partial, merge).materialize()
     m = agg.count()
     ranked = global_rank(agg, ["last_ts", "o_custkey"], out="r_rank").materialize()
     ranked = global_rank(ranked, ["freq", "o_custkey"], out="f_rank").materialize()
@@ -8712,7 +8703,7 @@ def ewma_daily_revenue(sf_dir: str) -> pd.DataFrame:
     daily = (
         sum_by_key(
             orders.map_batches(day_partial, batch_format="pandas"),
-            ["day"], ["cents"], n_buckets=32, partial_format="pandas",
+            ["day"], ["cents"], partial_format="pandas",
         )
         .to_pandas()
         .sort_values("day")
@@ -8833,7 +8824,7 @@ def kmv_distinct_parts_by_flag(sf_dir: str) -> pd.DataFrame:
         )
 
     exact = (
-        bucketed_groupby(ds, ["l_partkey"], exact_partial, exact_merge, n_buckets=16)
+        bucketed_groupby(ds, ["l_partkey"], exact_partial, exact_merge)
         .to_pandas()
         .groupby("l_returnflag", as_index=False)["n_exact"]
         .sum()
@@ -8906,7 +8897,7 @@ def customer_spend_trend(sf_dir: str) -> pd.DataFrame:
     moments = sum_by_key(
         orders.map_batches(moment_partial, batch_format="pandas"),
         ["o_custkey"], ["n", "st", "sy", "stt", "sty"],
-        n_buckets=32, partial_format="pandas",
+        partial_format="pandas",
     )
 
     def finalize(p: pd.DataFrame) -> pd.DataFrame:
@@ -9483,7 +9474,6 @@ def rolling_distinct_users_events(sf_dir: str) -> pd.DataFrame:
         ["window_day"],
         lambda b: b.drop_duplicates(),
         count_distinct,
-        n_buckets=32,
     ).to_pandas()
     counts = counts.groupby("window_day", as_index=False)["users_7d"].sum()
 
@@ -9830,11 +9820,7 @@ def degree_assortativity_copurchase(sf_dir: str) -> pd.DataFrame:
     SQL twin uses HUGEINT).  r is ONE float expression from four exact
     integers — bit-identical cross-engine."""
     from ndap_data_validator_ray.stages.broadcast import attach_or_join
-    from ndap_data_validator_ray.stages.groupby import (
-        bucketed_groupby,
-        count_by_key,
-        default_n_buckets,
-    )
+    from ndap_data_validator_ray.stages.groupby import bucketed_groupby, count_by_key
     from ndap_data_validator_ray.stages.triangles import _canonical_distinct_edges
 
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
@@ -9851,7 +9837,7 @@ def degree_assortativity_copurchase(sf_dir: str) -> pd.DataFrame:
         ).drop_duplicates()
 
     raw = bucketed_groupby(li, ["l_orderkey"], lambda b: b.dropna().drop_duplicates(), pairs)
-    e = _canonical_distinct_edges(raw, "id_a", "id_b", default_n_buckets()).materialize()
+    e = _canonical_distinct_edges(raw, "id_a", "id_b").materialize()
 
     deg = count_by_key(
         e.map_batches(
@@ -9963,7 +9949,7 @@ def holt_trend_daily_revenue(sf_dir: str) -> pd.DataFrame:
     daily = (
         sum_by_key(
             orders.map_batches(day_partial, batch_format="pandas"),
-            ["day"], ["cents"], n_buckets=32, partial_format="pandas",
+            ["day"], ["cents"], partial_format="pandas",
         )
         .to_pandas()
         .sort_values("day")
@@ -10190,7 +10176,7 @@ def token_freq_spectrum_documents(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"tok": toks})
 
     counts = count_by_key(
-        docs.map_batches(explode, batch_format="pandas"), ["tok"], n_buckets=16,
+        docs.map_batches(explode, batch_format="pandas"), ["tok"],
         partial_format="pandas",
     ).materialize()
 
@@ -10370,7 +10356,6 @@ def vocab_growth_documents(sf_dir: str) -> pd.DataFrame:
 
     nv = bucketed_groupby(
         docs.map_batches(explode, batch_format="pandas"), ["tok"], fd_partial, fd_merge,
-        n_buckets=16,
     )
     u = docs.map_batches(doc_rows, batch_format="pandas").union(nv).materialize()
 
@@ -10679,7 +10664,7 @@ def source_minhash_similarity(sf_dir: str) -> pd.DataFrame:
         )
 
     agg = (
-        bucketed_groupby(toks, ["tok"], ex_partial, ex_merge, n_buckets=16)
+        bucketed_groupby(toks, ["tok"], ex_partial, ex_merge)
         .to_pandas()  # <= sources^2 rows per bucket: driver fold
         .groupby(["sa", "sb"])["cnt"]
         .sum()
@@ -10825,7 +10810,7 @@ def kmv_user_overlap_event_types(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    ex = bucketed_groupby(users, ["user_id"], lambda b: b, ex_merge, n_buckets=16).to_pandas()
+    ex = bucketed_groupby(users, ["user_id"], lambda b: b, ex_merge).to_pandas()
     return pd.DataFrame(
         {
             "n_click_exact": [np.int64(ex["na"].sum())],
@@ -11036,7 +11021,7 @@ def ams_f2_user_events(sf_dir: str) -> pd.DataFrame:
 
     ex = bucketed_groupby(
         ds.map_batches(lambda b: b.dropna(), batch_format="pandas"),
-        ["user_id"], lambda b: b, ex_merge, n_buckets=16,
+        ["user_id"], lambda b: b, ex_merge,
     ).to_pandas()
     return pd.DataFrame(
         {
@@ -11168,16 +11153,16 @@ def hits_copurchase_parts(sf_dir: str) -> pd.DataFrame:
     orders = _read(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
     fact = _bc.attach_or_join(li, orders, "o_orderkey", "o_orderkey", ["o_custkey"])
     edges = (
-        count_by_key(fact, ["o_custkey", "l_partkey"], n_buckets=32)
+        count_by_key(fact, ["o_custkey", "l_partkey"])
         .map_batches(
             lambda t: pa.table({"o_custkey": t["o_custkey"], "l_partkey": t["l_partkey"]}),
             batch_format="pyarrow",
         )
         .materialize()
     )
-    auth1 = count_by_key(edges, ["l_partkey"], n_buckets=32, count_col="auth1").materialize()
+    auth1 = count_by_key(edges, ["l_partkey"], count_col="auth1").materialize()
     hub1 = (
-        sum_by_key(bucketed_join(edges, auth1, on=["l_partkey"]), ["o_custkey"], ["auth1"], n_buckets=32)
+        sum_by_key(bucketed_join(edges, auth1, on=["l_partkey"]), ["o_custkey"], ["auth1"])
         .map_batches(
             lambda t: pa.table({"o_custkey": t["o_custkey"], "hub1": t["auth1"]}),
             batch_format="pyarrow",
@@ -11185,7 +11170,7 @@ def hits_copurchase_parts(sf_dir: str) -> pd.DataFrame:
         .materialize()
     )
     auth2 = sum_by_key(
-        bucketed_join(edges, hub1, on=["o_custkey"]), ["l_partkey"], ["hub1"], n_buckets=32
+        bucketed_join(edges, hub1, on=["o_custkey"]), ["l_partkey"], ["hub1"]
     ).map_batches(
         lambda t: pa.table({"l_partkey": t["l_partkey"], "auth2": t["hub1"]}),
         batch_format="pyarrow",
@@ -11249,7 +11234,7 @@ def theil_sen_daily_revenue(sf_dir: str) -> pd.DataFrame:
     daily = (
         sum_by_key(
             orders.map_batches(day_partial, batch_format="pandas"),
-            ["day"], ["cents"], n_buckets=32, partial_format="pandas",
+            ["day"], ["cents"], partial_format="pandas",
         )
         .to_pandas()
         .sort_values("day")
@@ -11346,7 +11331,7 @@ def jaro_winkler_adjacent_parts(sf_dir: str) -> pd.DataFrame:
         )
 
     out = (
-        bucketed_join(left, right, on=["jk"], n_buckets=16)
+        bucketed_join(left, right, on=["jk"])
         .map_batches(score, batch_format="pandas")
         .to_pandas()
     )
@@ -11388,7 +11373,7 @@ def trimmed_mean_price_by_flag(sf_dir: str) -> pd.DataFrame:
 
     hist = sum_by_key(
         li.map_batches(partial, batch_format="pandas"),
-        ["l_returnflag", "c"], ["cnt"], n_buckets=32, partial_format="pandas",
+        ["l_returnflag", "c"], ["cnt"], partial_format="pandas",
     ).to_pandas()
 
     rows = []
@@ -11530,14 +11515,14 @@ def hll_rollup_weekly_users(sf_dir: str) -> pd.DataFrame:
         )
 
     pairs = count_by_key(
-        ds.map_batches(week_partial, batch_format="pyarrow"), ["week", "user_id"], n_buckets=32
+        ds.map_batches(week_partial, batch_format="pyarrow"), ["week", "user_id"]
     )
     exact = (
         count_by_key(
             pairs.map_batches(
                 lambda t: pa.table({"week": t["week"]}), batch_format="pyarrow"
             ),
-            ["week"], n_buckets=8, count_col="n_users",
+            ["week"], count_col="n_users",
         )
         .to_pandas()
     )
@@ -11922,7 +11907,7 @@ def markov_conditional_entropy_events(sf_dir: str) -> pd.DataFrame:
             .rename(columns={"size": "n"})
         )
 
-    parts = bucketed_groupby(ds, ["user_id"], lambda b: b, transitions, n_buckets=32).to_pandas()
+    parts = bucketed_groupby(ds, ["user_id"], lambda b: b, transitions).to_pandas()
     if parts.empty:
         return pd.DataFrame(
             {
@@ -12136,7 +12121,7 @@ def fd_audit_tables(sf_dir: str) -> pd.DataFrame:
     pairs -> ONE bucketed exchange on lhs (each lhs lands whole in one
     reducer, so per-reducer nunique partials sum exactly — the
     distinct_counts_lineitem contract) -> per-bucket (n_lhs, n_violating,
-    max fan-out) partials -> driver fold of <= n_buckets rows.  The LHS
+    max fan-out) partials -> driver fold of <= buckets rows.  The LHS
     key space never assembles anywhere."""
     from ndap_data_validator_ray.stages.groupby import bucketed_groupby
 
@@ -12285,12 +12270,7 @@ def label_propagation_parts(sf_dir: str) -> pd.DataFrame:
     (materialize) between rounds.  Seed brands attach via the guarded
     broadcast (`attach_or_join`)."""
     from ndap_data_validator_ray.stages.broadcast import attach_or_join
-    from ndap_data_validator_ray.stages.groupby import (
-        bucketed_groupby,
-        default_n_buckets,
-        exchange,
-        hash_partitioner,
-    )
+    from ndap_data_validator_ray.stages.groupby import bucketed_groupby, exchange, hash_partitioner
 
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
 
@@ -12318,7 +12298,6 @@ def label_propagation_parts(sf_dir: str) -> pd.DataFrame:
         ),
         batch_format="pandas",
     ).materialize()
-    nb = int(min(default_n_buckets(), max(8, sym.count() // 100_000 + 8)))
 
     seed_nodes = sym.map_batches(
         lambda b: pd.DataFrame({"node": np.unique(b["u"].to_numpy(np.int64))}),
@@ -12400,14 +12379,13 @@ def label_propagation_parts(sf_dir: str) -> pd.DataFrame:
                 sym.map_batches(edge_leg, batch_format="pandas"),
                 labels.map_batches(label_leg, batch_format="pandas"),
             ],
-            hash_partitioner(["k"], nb),
-            nb,
+            hash_partitioner(["k"]),
             gather,
         )
         current = labels.map_batches(
             lambda b: b.assign(side=np.ones(len(b), dtype=np.int64)), batch_format="pandas"
         )
-        labels = exchange([proposals, current], hash_partitioner(["node"], nb), nb, vote)
+        labels = exchange([proposals, current], hash_partitioner(["node"]), vote)
 
     out = labels.to_pandas().rename(columns={"node": "l_partkey", "lbl": "brand_id"})
     out["l_partkey"] = out["l_partkey"].astype(np.int64)
@@ -12663,7 +12641,7 @@ def frequent_triples_parts(sf_dir: str) -> pd.DataFrame:
     triples vectorized (C(n,3) bounded by per-order line count, never
     corpus size); a second bucketed exchange on the triple counts; each
     count bucket keeps a LOCAL top-20 under the total order (n DESC, p1,
-    p2, p3) and the driver folds <= 20 x n_buckets rows — ties at the
+    p2, p3) and the driver folds <= 20 x buckets rows — ties at the
     cut are impossible to mis-order because the tie-break is total."""
     from ndap_data_validator_ray.stages.groupby import bucketed_groupby
 
@@ -12739,7 +12717,7 @@ def k_anonymity_audit_customers(sf_dir: str) -> pd.DataFrame:
     Distributed shape: ONE bucketed exchange on the QI combo (each combo
     lands whole in one reducer — the FD-audit contract), per-bucket
     (n_groups, n_rows, at-risk counts, min size) partials, driver fold of
-    <= n_buckets rows.  The QI group list never assembles anywhere."""
+    <= buckets rows.  The QI group list never assembles anywhere."""
     from ndap_data_validator_ray.stages.groupby import bucketed_groupby
 
     k = 10
@@ -14371,22 +14349,22 @@ def hashed_bow_features(sf_dir: str) -> pd.DataFrame:
     O(16) ints per doc."""
     from ndap_data_validator_ray.functions.hashing import md5_lower64_batch
 
-    n_buckets = 16
+    n_bins = 16
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
     def feats(b: pd.DataFrame) -> pd.DataFrame:
-        out = np.zeros((len(b), n_buckets), dtype=np.int64)
+        out = np.zeros((len(b), n_bins), dtype=np.int64)
         texts = b["text"].fillna("").tolist()
         toks_per_doc = [t.split() for t in texts]
         flat = [tok for toks in toks_per_doc for tok in toks]
         if flat:
-            h = (md5_lower64_batch(flat) % n_buckets).astype(np.int64)
+            h = (md5_lower64_batch(flat) % n_bins).astype(np.int64)
             row_id = np.repeat(
                 np.arange(len(b)), np.fromiter((len(t) for t in toks_per_doc), dtype=np.int64)
             )
             np.add.at(out, (row_id, h), 1)
         cols = {"doc_id": b["doc_id"].to_numpy(np.int64)}
-        for k in range(n_buckets):
+        for k in range(n_bins):
             cols[f"f{k:02d}"] = out[:, k]
         return pd.DataFrame(cols)
 

@@ -76,7 +76,9 @@ class ColumnStats:
             range_violations=self.range_violations + other.range_violations,
             empty_strings=self.empty_strings + other.empty_strings,
         )
-        for k in set(self.custom_counts) | set(other.custom_counts):
+        # self's names, then other's new ones: a fixed order, so merged
+        # blobs do not depend on the string hash seed
+        for k in dict.fromkeys([*self.custom_counts, *other.custom_counts]):
             out.custom_counts[k] = self.custom_counts.get(k, 0) + other.custom_counts.get(k, 0)
         if self.time_hist is not None or other.time_hist is not None:
             a = self.time_hist if self.time_hist is not None else np.zeros(timefmt.HIST_SIZE, dtype=np.int64)
@@ -127,7 +129,7 @@ class TableStats:
 
     def merge(self, other: "TableStats") -> "TableStats":
         out = TableStats(rows=self.rows + other.rows)
-        for name in set(self.columns) | set(other.columns):
+        for name in dict.fromkeys([*self.columns, *other.columns]):
             a, b = self.columns.get(name), other.columns.get(name)
             out.columns[name] = a.merge(b) if (a and b) else (a or b)
         if self.audio and other.audio:

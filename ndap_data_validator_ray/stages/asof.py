@@ -5,13 +5,13 @@ For every left row, attach the right row with the greatest ``on`` value
 point-in-time / "most recent fact" join; SQL ``ASOF JOIN``).
 
 Layout: both sides go through ``stages/groupby.cogroup`` keyed on
-``bucket = stable_hash(by) % B`` (typed-null padding to a union schema,
+``bucket = stable_hash(by) % R`` (typed-null padding to a union schema,
 one small-int exchange), and each bucket runs ``pandas.merge_asof``
 (sorted merge with per-``by`` state) over its two sides.
 
 Documented partitioning assumption: all rows of one ``by`` key land in one
 reducer (guaranteed by the key-hash bucketing) and one BUCKET's rows fit
-that reducer's memory — size ``n_buckets`` to the cluster.  Skewed hot
+that reducer's memory — the exchange sizes its buckets from the input.  Skewed hot
 keys cost sort time within their bucket, never a wrong answer.
 
 Determinism: when several right rows share the same (by, on) value the
@@ -34,7 +34,7 @@ import pyarrow as pa
 
 import ray.data
 
-from ndap_data_validator_ray.stages.groupby import cogroup, default_n_buckets, hash_partitioner
+from ndap_data_validator_ray.stages.groupby import cogroup, hash_partitioner
 
 _ON_COL = "_asof_on"
 _BY_COL = "_asof_by"
@@ -54,7 +54,6 @@ def bucketed_asof_join(
     right_on: str | None = None,
     right_by: str | None = None,
     direction: str = "backward",
-    n_buckets: int | None = None,
 ) -> "ray.data.Dataset":
     """As-of join of ``left`` against ``right``; left-join semantics (every
     left row survives, unmatched right columns are null).
@@ -64,7 +63,6 @@ def bucketed_asof_join(
     """
     right_on = right_on or on
     right_by = right_by or by
-    n_buckets = n_buckets or default_n_buckets()
 
     lf = _fields(left)
     rf = _fields(right)
@@ -104,4 +102,4 @@ def bucketed_asof_join(
         merged = pd.merge_asof(l, r, on=_ON_COL, by=_BY_COL, direction=direction)
         return pa.Table.from_pandas(merged[left_cols + right_value_cols], schema=out_schema, preserve_index=False).replace_schema_metadata(None)
 
-    return cogroup(legs, merge_bucket, hash_partitioner([_BY_COL], n_buckets), n_buckets)
+    return cogroup(legs, merge_bucket, hash_partitioner([_BY_COL]))

@@ -41,12 +41,7 @@ import pandas as pd
 import ray
 import ray.data
 
-from ndap_data_validator_ray.stages.groupby import (
-    bucketed_groupby,
-    default_n_buckets,
-    exchange,
-    hash_partitioner,
-)
+from ndap_data_validator_ray.stages.groupby import bucketed_groupby, exchange, hash_partitioner
 
 # Unreached sentinel: far above any real hop count, far below int64
 # overflow even after += rounds increments.
@@ -57,9 +52,7 @@ def _min_dist(batch: pd.DataFrame) -> pd.DataFrame:
     return batch.groupby("node", as_index=False)["dist"].min()
 
 
-def _relax_round(
-    sym: "ray.data.Dataset", dists: "ray.data.Dataset", n_buckets: int
-) -> "ray.data.Dataset":
+def _relax_round(sym: "ray.data.Dataset", dists: "ray.data.Dataset") -> "ray.data.Dataset":
     """One relaxation round as one lazy chain ending in the min fold."""
 
     def edge_leg(b: pd.DataFrame) -> pd.DataFrame:
@@ -95,8 +88,8 @@ def _relax_round(
             }
         )
 
-    proposals = exchange(legs, hash_partitioner(["k"], n_buckets), n_buckets, reduce)
-    return bucketed_groupby(proposals.union(dists), ["node"], _min_dist, _min_dist, n_buckets)
+    proposals = exchange(legs, hash_partitioner(["k"]), reduce)
+    return bucketed_groupby(proposals.union(dists), ["node"], _min_dist, _min_dist)
 
 
 def distributed_bfs_hops(
@@ -106,7 +99,6 @@ def distributed_bfs_hops(
     dst_col: str = "id_b",
     source_col: str = "node",
     rounds: int = 4,
-    n_buckets: int | None = None,
 ) -> "ray.data.Dataset":
     """Hop distance (0..``rounds``, else -1) from every edge-endpoint node
     to its nearest source.
@@ -117,11 +109,6 @@ def distributed_bfs_hops(
     endpoint rows seed dist=INF, and the first min fold merges them, so
     the source set can itself be arbitrarily large (no broadcast, no
     driver set).
-
-    ``n_buckets`` defaults adaptively from the symmetric edge count
-    (~100k rows per bucket, floor 8, cap ``default_n_buckets()``) — the
-    cc.py lesson: cluster-sized fan-out on a toy graph spends the whole
-    round on task overhead.
 
     Node ids must be int64.  Returns (node, hops).
     """
@@ -138,8 +125,6 @@ def distributed_bfs_hops(
         ),
         batch_format="pandas",
     ).materialize()
-    n_sym = sym.count()
-    nb = n_buckets or int(min(default_n_buckets(), max(8, n_sym // 100_000 + 8)))
 
     seeds = sym.map_batches(
         lambda b: pd.DataFrame(
@@ -161,9 +146,9 @@ def distributed_bfs_hops(
         )
     )
 
-    dists = bucketed_groupby(seeds, ["node"], _min_dist, _min_dist, nb)
+    dists = bucketed_groupby(seeds, ["node"], _min_dist, _min_dist)
     for _round in range(rounds):
-        dists = _relax_round(sym, dists, nb)
+        dists = _relax_round(sym, dists)
 
     def finish(b: pd.DataFrame) -> pd.DataFrame:
         d = b["dist"].to_numpy(np.int64)

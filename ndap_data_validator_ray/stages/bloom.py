@@ -140,7 +140,6 @@ def bloom_anti_join(
     probe_on: str,
     build_on: str,
     fp_rate: float = 0.01,
-    n_buckets: int = 64,
     concurrency: int | tuple = (1, 4),
     mode: str = "actor",
 ) -> "ray.data.Dataset":
@@ -188,5 +187,5 @@ def bloom_anti_join(
             ),
             batch_format="pyarrow",
         )
-    verified = bucketed_join(maybe, build.select_columns([probe_on]), on=[probe_on], how="anti", n_buckets=n_buckets)
+    verified = bucketed_join(maybe, build.select_columns([probe_on]), on=[probe_on], how="anti")
     return definite.union(verified)

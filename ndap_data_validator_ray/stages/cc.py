@@ -54,12 +54,7 @@ import pandas as pd
 import ray
 import ray.data
 
-from ndap_data_validator_ray.stages.groupby import (
-    bucketed_groupby,
-    default_n_buckets,
-    exchange,
-    hash_partitioner,
-)
+from ndap_data_validator_ray.stages.groupby import bucketed_groupby, exchange, hash_partitioner
 
 # Symmetric-edge-row cap for the driver fast path (module attr so tests can
 # monkeypatch it; resolved at call time like broadcast.DEFAULT_BROADCAST_CAP).
@@ -145,9 +140,7 @@ def _leg(side: int, key: str, val: str):
     return fn
 
 
-def _fused_round(
-    sym: "ray.data.Dataset", labels: "ray.data.Dataset", n_buckets: int
-) -> "ray.data.Dataset":
+def _fused_round(sym: "ray.data.Dataset", labels: "ray.data.Dataset") -> "ray.data.Dataset":
     """One CC round as ONE lazy chain (module docstring): neighbor-min
     proposals (edge rows keyed by u) and stale pointer-jump proposals
     (label rows re-keyed by label(v)) share a single bucketed gather
@@ -174,8 +167,8 @@ def _fused_round(
             {"node": lf["val"].to_numpy()[keep], "label": lab[keep].astype(np.int64).to_numpy()}
         )
 
-    proposals = exchange(legs, hash_partitioner(["k"], n_buckets), n_buckets, reduce)
-    return bucketed_groupby(proposals.union(labels), ["node"], _min_label, _min_label, n_buckets)
+    proposals = exchange(legs, hash_partitioner(["k"]), reduce)
+    return bucketed_groupby(proposals.union(labels), ["node"], _min_label, _min_label)
 
 
 def distributed_connected_components(
@@ -184,7 +177,6 @@ def distributed_connected_components(
     dst_col: str = "id_b",
     nodes: "ray.data.Dataset | None" = None,
     node_col: str = "node",
-    n_buckets: int | None = None,
     max_rounds: int = 50,
     small_graph_cap: int | None = None,
 ) -> "ray.data.Dataset":
@@ -209,14 +201,6 @@ def distributed_connected_components(
     flagship LSH dedup flow and the CC value-oracle queries do, keeping
     the 100 TB path itself pinned end to end).
 
-    ``n_buckets`` defaults ADAPTIVELY: every round pays O(buckets + label
-    blocks) in task overhead, so a small graph at the cluster-sized
-    ``default_n_buckets()`` spends its whole round on orchestration
-    (measured 35 s -> 14 s at sf0.01 going 32 -> 8 buckets).  The default
-    scales buckets with the symmetric edge count (~100k edge rows per
-    bucket, floor 8) and is capped at ``default_n_buckets()`` — a 100 TB
-    edge set still gets the full cluster fan-out.
-
     Node ids must be int64 (doc ids).  Returns (node, component).
     """
 
@@ -228,7 +212,7 @@ def distributed_connected_components(
         return pd.DataFrame({"node": vals, "label": vals})
 
     # symmetrized slim edge list, reused every round (materialized once —
-    # also the adaptive bucket-count probe: count() is metadata-only here)
+    # so the small-graph probe's count() is metadata-only)
     sym = edges.map_batches(
         lambda b: pd.DataFrame(
             {
@@ -246,7 +230,6 @@ def distributed_connected_components(
     cap = DEFAULT_SMALL_GRAPH_CAP if small_graph_cap is None else small_graph_cap
     if cap and n_sym <= cap:
         return _small_graph_components(sym, nodes, node_col)
-    nb = n_buckets or int(min(default_n_buckets(), max(8, n_sym // 100_000 + 8)))
 
     seeds = sym.map_batches(edge_nodes, batch_format="pandas")
     if nodes is not None:
@@ -265,7 +248,7 @@ def distributed_connected_components(
     # exchange output is already executed with one block per reduce task,
     # so the label block count stays pinned (unpinned it DOUBLED per round:
     # 1.4s -> 20s by round 2 on a 50-edge graph)
-    labels = bucketed_groupby(seeds, ["node"], _min_label, _min_label, nb)
+    labels = bucketed_groupby(seeds, ["node"], _min_label, _min_label)
 
     def label_sum(ds: "ray.data.Dataset") -> int:
         parts = ds.map_batches(
@@ -280,7 +263,7 @@ def distributed_connected_components(
     for _round in range(max_rounds):
         # one exchange per round runs the whole fused chain; label_sum then
         # scans in-memory blocks only
-        labels = _fused_round(sym, labels, nb)
+        labels = _fused_round(sym, labels)
         cur_sum = label_sum(labels)
         if cur_sum == prev_sum:
             break

@@ -48,7 +48,7 @@ KEY_RUN_ROW_GROUP = 1 << 16
 MERGE_RANGE_BYTES = 64 << 20
 
 
-def key_counts(ds: "ray.data.Dataset", key: str, n_buckets: int = 64) -> "ray.data.Dataset":
+def key_counts(ds: "ray.data.Dataset", key: str) -> "ray.data.Dataset":
     """Global exact counts per key: batch partials -> bucketed two-phase
     merge (stages/groupby.py) — the shuffle key is a B-way bucket, never
     the raw high-cardinality key."""
@@ -61,7 +61,7 @@ def key_counts(ds: "ray.data.Dataset", key: str, n_buckets: int = 64) -> "ray.da
     def merge(part: pd.DataFrame) -> pd.DataFrame:
         return part.groupby(key, as_index=False)["cnt"].sum()
 
-    return bucketed_groupby(ds, [key], partial, merge, n_buckets)
+    return bucketed_groupby(ds, [key], partial, merge)
 
 
 def duplicate_keys(ds: "ray.data.Dataset", key: str) -> pa.Table:
@@ -149,7 +149,7 @@ def exact_dedup(ds: "ray.data.Dataset", content_cols: list[str], keep_col: str) 
             .first()
         )
 
-    return bucketed_groupby(ds, content_cols, partial, first_per_content, n_buckets=64)
+    return bucketed_groupby(ds, content_cols, partial, first_per_content)
 
 
 def exact_dedup_counts(
@@ -157,7 +157,6 @@ def exact_dedup_counts(
     content_cols: list[str],
     keep_col: str,
     count_col: str = "n_copies",
-    n_buckets: int = 64,
 ) -> "ray.data.Dataset":
     """Exact dedup GROUPS: min-``keep_col`` + copy count per distinct
     content, via the bucketed two-phase path (the shuffle key is the B-way
@@ -180,7 +179,7 @@ def exact_dedup_counts(
             **{keep_col: (keep_col, "min"), count_col: (count_col, "sum")}
         )
 
-    return bucketed_groupby(ds, content_cols, partial, merge, n_buckets)
+    return bucketed_groupby(ds, content_cols, partial, merge)
 
 
 def exact_dedup_counts_hashed(
@@ -188,7 +187,6 @@ def exact_dedup_counts_hashed(
     content_cols: list[str],
     keep_col: str,
     count_col: str = "n_copies",
-    n_buckets: int = 64,
     hash_bits: int = 64,
 ) -> "ray.data.Dataset":
     """The 100 TB exact-dedup shape: shuffle (content_hash, keep) pairs
@@ -239,7 +237,7 @@ def exact_dedup_counts_hashed(
     # rows, already shuffled) so the singles leg and the collision scan
     # don't re-execute the full input pass; the raw input is never
     # materialized
-    agg = bucketed_groupby(ds, ["_h"], partial, merge, n_buckets).materialize()
+    agg = bucketed_groupby(ds, ["_h"], partial, merge).materialize()
     singles = agg.map_batches(
         lambda b: b.loc[b[count_col] == 1, [keep_col, count_col]], batch_format="pandas"
     )
@@ -270,6 +268,6 @@ def exact_dedup_counts_hashed(
         )
 
     verified = bucketed_groupby(
-        ds.map_batches(candidates, batch_format="pandas"), content_cols, v_partial, v_merge, n_buckets
+        ds.map_batches(candidates, batch_format="pandas"), content_cols, v_partial, v_merge
     ).map_batches(lambda b: b[[keep_col, count_col]], batch_format="pandas")
     return singles.union(verified)

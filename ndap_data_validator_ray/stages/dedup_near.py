@@ -138,7 +138,6 @@ def verify_pairs_distributed(
     payload_col: str,
     scorer,
     score_col: str,
-    n_buckets: int | None = None,
     as_dataset: bool = False,
 ) -> "pd.DataFrame | ray.data.Dataset":
     """Distributed candidate-pair verification (round-3 verdict items 1/2:
@@ -167,10 +166,9 @@ def verify_pairs_distributed(
     ``scorer`` as None — the pair is unverifiable, and SQL NOT-EXISTS-style
     callers would never have emitted it.
     """
-    from ndap_data_validator_ray.stages.groupby import default_n_buckets, exchange, hash_partitioner
+    from ndap_data_validator_ray.stages.groupby import exchange, hash_partitioner
 
-    nb = n_buckets or default_n_buckets()
-    by_ida = hash_partitioner(["ida"], nb)  # both exchanges key on the "ida" column
+    by_ida = hash_partitioner(["ida"])  # both exchanges key on the "ida" column
 
     def _none(n: int) -> np.ndarray:
         return np.full(n, None, dtype=object)
@@ -244,8 +242,8 @@ def verify_pairs_distributed(
     # single time instead of per exchange; blocks spill if corpus-sized
     payload = payload.materialize()
     payload_leg = payload.map_batches(tag_payload, batch_format="pandas")
-    phase1 = exchange([cands.map_batches(tag_pairs, batch_format="pandas"), payload_leg], by_ida, nb, attach_a)
-    scored = exchange([phase1, payload_leg], by_ida, nb, attach_b_and_score)
+    phase1 = exchange([cands.map_batches(tag_pairs, batch_format="pandas"), payload_leg], by_ida, attach_a)
+    scored = exchange([phase1, payload_leg], by_ida, attach_b_and_score)
     return scored if as_dataset else scored.to_pandas()
 
 
@@ -619,7 +617,7 @@ def exact_jaccard_pairs(
         return pd.DataFrame({"id_a": out_a, "id_b": out_b, "jaccard": out_j})
 
     tokens = ds.map_batches(tokenize, batch_format="pandas")
-    pairs = bucketed_groupby(tokens, ["pair_key"], lambda b: b, verify_pairs, n_buckets=max(8, tiles * tiles)).to_pandas()
+    pairs = bucketed_groupby(tokens, ["pair_key"], lambda b: b, verify_pairs).to_pandas()
     if pairs.empty:
         return pd.DataFrame({"id_a": [], "id_b": [], "jaccard": []})
     return pairs.drop_duplicates(subset=["id_a", "id_b"]).sort_values(["id_a", "id_b"]).reset_index(drop=True)
@@ -681,9 +679,7 @@ def exact_containment_pairs(
         )
 
     tokens = ds.map_batches(tokenize, batch_format="pandas")
-    pairs = bucketed_groupby(
-        tokens, ["pair_key"], lambda b: b, verify_pairs, n_buckets=max(8, tiles * tiles)
-    ).to_pandas()
+    pairs = bucketed_groupby(tokens, ["pair_key"], lambda b: b, verify_pairs).to_pandas()
     if pairs.empty:
         return pd.DataFrame(
             {"id_a": pd.Series([], dtype=np.int64), "id_b": pd.Series([], dtype=np.int64),

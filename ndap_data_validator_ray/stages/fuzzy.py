@@ -34,7 +34,6 @@ def fuzzy_name_pairs(
     name_col: str,
     max_dist: int = 2,
     block_fn=_last_token,
-    n_buckets: int = 16,
     block_cap: int = 1000,
     stats: dict | None = None,
 ) -> pd.DataFrame:
@@ -49,7 +48,7 @@ def fuzzy_name_pairs(
     def count_merge(part: pd.DataFrame) -> pd.DataFrame:
         return part.groupby(name_col, as_index=False)["cnt"].sum()
 
-    distinct = bucketed_groupby(ds, [name_col], count_partial, count_merge, n_buckets=n_buckets)
+    distinct = bucketed_groupby(ds, [name_col], count_partial, count_merge)
 
     def tag_block(batch: pd.DataFrame) -> pd.DataFrame:
         return batch.assign(_block=block_fn(batch[name_col]))
@@ -110,8 +109,7 @@ def fuzzy_name_pairs(
 
     out = exchange(
         distinct.map_batches(tag_block, batch_format="pandas"),
-        hash_partitioner(["_block"], n_buckets),
-        n_buckets,
+        hash_partitioner(["_block"]),
         verify_bucket,
     ).to_pandas()
     if stats is not None:

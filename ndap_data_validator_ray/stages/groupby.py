@@ -15,17 +15,16 @@ that scales to 10^12 keys on a real cluster — is an explicit partitioned
 hash aggregation (ray_guide "Joins and lookups" / "Aggregation at scale"):
 
 1. per-batch partial aggregation (combiner) inside ``map_batches``;
-2. partition id ``bucket = stable_hash(key) % B`` — the shuffle key is a
-   SMALL int domain, so the exchange is a cheap B-way partition, and hot
+2. partition id ``bucket = stable_hash(key) % R`` — the shuffle key is a
+   SMALL int domain, so the exchange is a cheap R-way partition, and hot
    keys spread across *batch partials* cannot skew a reducer beyond its
    bucket;
 3. one ``exchange`` whose reducer does an in-memory pandas merge of its
    bucket's partials.
 
-``n_buckets`` bounds the exchange's reduce tasks; how many run is sized by
-the input (see ``exchange``).
-Correct for any commutative partial/merge pair (same algebra as the
-checkpoint sketches)."""
+The exchange picks R from the input (see ``exchange``); no caller
+chooses a bucket count.  Correct for any commutative partial/merge pair
+(same algebra as the checkpoint sketches)."""
 
 from __future__ import annotations
 
@@ -42,9 +41,9 @@ from ndap_data_validator_ray.functions.sketches import stable_hash64
 
 
 def default_n_buckets() -> int:
-    """Cluster-sized bucket count: ~2-4x the worker CPUs (the shuffle's
-    parallelism knob), clamped so tiny test clusters still spread and a
-    big cluster doesn't explode tiny inputs into thousands of groups."""
+    """Cluster-sized cap on an exchange's reduce tasks: ~3x the worker
+    CPUs, clamped to [32, 512] so a big cluster doesn't explode an input
+    into thousands of tasks."""
     try:
         cpus = int(ray.cluster_resources().get("CPU", 16)) if ray.is_initialized() else 16
     except Exception:
@@ -72,29 +71,38 @@ def _hash_stable_dtype(s: pd.Series) -> pd.Series:
     return s
 
 
-def stable_bucket(keys: pd.Series | pd.DataFrame, n_buckets: int) -> np.ndarray:
+def stable_bucket(keys: pd.Series | pd.DataFrame, n: int) -> np.ndarray:
     """Deterministic bucket ids from one or more key columns:
-    ``stable_hash64(key) % n_buckets`` after dtype normalization."""
+    ``stable_hash64(key) % n`` after dtype normalization."""
     if isinstance(keys, pd.DataFrame):
         h = stable_hash64(pd.DataFrame({c: _hash_stable_dtype(keys[c]) for c in keys.columns}))
     else:
         h = stable_hash64(_hash_stable_dtype(keys).to_numpy())
-    return (h % np.uint64(n_buckets)).astype(np.int64)
+    return (h % np.uint64(n)).astype(np.int64)
 
 
-def hash_partitioner(key_cols: list[str], n_buckets: int) -> Callable:
+def hash_partitioner(key_cols: list[str]) -> Callable:
     """``partition_of`` for :func:`exchange`/:func:`cogroup`: the
-    ``stable_bucket`` of ``key_cols`` for a pandas or an Arrow batch."""
+    ``stable_bucket`` of ``key_cols`` in ``[0, n)`` for a pandas or an
+    Arrow batch."""
 
-    def partition_of(batch) -> np.ndarray:
+    def partition_of(batch, n: int) -> np.ndarray:
         keys = batch[key_cols] if isinstance(batch, pd.DataFrame) else batch.select(key_cols).to_pandas()
-        return stable_bucket(keys if len(key_cols) > 1 else keys[key_cols[0]], n_buckets)
+        return stable_bucket(keys if len(key_cols) > 1 else keys[key_cols[0]], n)
 
     return partition_of
 
 
 # Input bytes one reduce task is sized to take (see ``exchange``).
 EXCHANGE_TASK_BYTES = 64 << 20
+
+
+def _reduce_tasks(in_bytes: int) -> int:
+    """R, the reduce tasks of one exchange: one per cluster CPU, more
+    when the input exceeds ``EXCHANGE_TASK_BYTES`` per task, at most
+    ``default_n_buckets()``."""
+    cpus = int(ray.cluster_resources().get("CPU", 1))
+    return int(min(default_n_buckets(), max(cpus, -(-in_bytes // EXCHANGE_TASK_BYTES))))
 
 
 def _take(batch, idx: np.ndarray):
@@ -109,7 +117,7 @@ def _split_task(block, partition_of: Callable, batch_format: str, bounds: np.nda
     from ray.data.block import BlockAccessor
 
     batch = BlockAccessor.for_block(block).to_batch_format(batch_format)
-    pids = np.asarray(partition_of(batch), dtype=np.int64)
+    pids = np.asarray(partition_of(batch, int(bounds[-1])), dtype=np.int64)
     order = np.argsort(pids, kind="stable")
     pids = pids[order]
     if len(pids) and (pids[0] < 0 or pids[-1] >= bounds[-1]):
@@ -171,25 +179,29 @@ def _from_block_refs(blocks: list, metas: list) -> "ray.data.Dataset":
 def exchange(
     ds: "ray.data.Dataset | list[ray.data.Dataset]",
     partition_of: Callable,
-    n_partitions: int,
     reduce: Callable,
     batch_format: str = "pandas",
+    n_partitions: int | None = None,
 ) -> "ray.data.Dataset":
     """The engine's one shuffle: route every row to the reducer of its
     partition and run ``reduce(group, partition_id)`` once per non-empty
     partition, in ascending partition id.
 
     ``ds`` is one Dataset or a list of legs with one schema;
-    ``partition_of(batch)`` gives each row an id in ``[0, n_partitions)``.
-    The shuffle is a Ray-core split/merge over the legs' blocks: R reduce
-    tasks, R = ``min(n_partitions, max(cluster CPUs, input bytes /
-    EXCHANGE_TASK_BYTES))``, so the fan-out follows the data and not the
-    key domain.  One split task per non-empty block cuts it into R slices
-    by contiguous pid range; reduce task j concatenates its slices in
-    leg/block/row order and calls ``reduce`` per pid, with the group in
-    ``batch_format`` and without the id.  Every task is awaited before
-    this returns or raises, and the result is an already-executed
-    Dataset whose blocks come out in ascending pid order."""
+    ``partition_of(batch, n)`` gives each row an id in ``[0, n)``.  The
+    shuffle is a Ray-core split/merge over the legs' blocks with R reduce
+    tasks, R = ``min(default_n_buckets(), max(cluster CPUs, input bytes /
+    EXCHANGE_TASK_BYTES))``, so the fan-out follows the data.  The
+    exchange owns the domain: n = R, one partition per reduce task.  A
+    caller whose ids mean something outside the shuffle (sort ranges, a
+    persisted bucket) fixes n with ``n_partitions``; R is then capped at
+    n and each task owns a contiguous pid range.  One split task per
+    non-empty block cuts it into R slices by pid range; reduce task j
+    concatenates its slices in leg/block/row order and calls ``reduce``
+    per pid, with the group in ``batch_format`` and without the id.
+    Every task is awaited before this returns or raises, and the result
+    is an already-executed Dataset whose blocks come out in ascending pid
+    order."""
     legs = ds if isinstance(ds, list) else [ds]
     blocks = [
         (ref, meta)
@@ -198,11 +210,11 @@ def exchange(
         for ref, meta in bundle.blocks
         if meta.num_rows != 0
     ]
-    in_bytes = sum(meta.size_bytes or 0 for _, meta in blocks)
-    cpus = int(ray.cluster_resources().get("CPU", 1))
-    n_tasks = max(1, min(n_partitions, max(cpus, -(-in_bytes // EXCHANGE_TASK_BYTES))))
+    n_tasks = _reduce_tasks(sum(meta.size_bytes or 0 for _, meta in blocks))
+    n = n_tasks if n_partitions is None else n_partitions
+    n_tasks = max(1, min(n_tasks, n))
     # reduce task j owns pids [bounds[j], bounds[j + 1])
-    bounds = np.array([j * n_partitions // n_tasks for j in range(n_tasks + 1)], dtype=np.int64)
+    bounds = np.array([j * n // n_tasks for j in range(n_tasks + 1)], dtype=np.int64)
 
     fn_ref = ray.put(partition_of)
     splits = [
@@ -224,11 +236,11 @@ def cogroup(
     legs: list[tuple["ray.data.Dataset", "pa.Schema"]],
     reduce: Callable,
     partition_of: Callable,
-    n_partitions: int,
+    n_partitions: int | None = None,
 ) -> "ray.data.Dataset":
     """Co-partition several Arrow legs: ``reduce(*sides)`` runs once per
-    non-empty partition of ``[0, n_partitions)`` with one Arrow table per
-    leg.
+    non-empty partition with one Arrow table per leg (the partition
+    domain is :func:`exchange`'s).
 
     ``legs`` pairs each Dataset with the schema of the columns it
     contributes.  Every leg is padded with typed nulls to the union of
@@ -272,7 +284,7 @@ def cogroup(
         ds.map_batches(pad(i, set(own)), batch_format="pyarrow")
         for i, ((ds, _), own) in enumerate(zip(legs, names))
     ]
-    return exchange(padded, partition_of, n_partitions, split, batch_format="pyarrow")
+    return exchange(padded, partition_of, split, batch_format="pyarrow", n_partitions=n_partitions)
 
 
 def bucketed_groupby(
@@ -280,7 +292,6 @@ def bucketed_groupby(
     key_cols: list[str],
     batch_partial: Callable,
     local_merge: Callable[[pd.DataFrame], pd.DataFrame],
-    n_buckets: int = 64,
     partial_format: str = "pandas",
 ) -> "ray.data.Dataset":
     """Two-phase grouped aggregation.
@@ -297,8 +308,7 @@ def bucketed_groupby(
     """
     return exchange(
         ds.map_batches(batch_partial, batch_format=partial_format),
-        hash_partitioner(key_cols, n_buckets),
-        n_buckets,
+        hash_partitioner(key_cols),
         lambda group, _pid: local_merge(group),
     )
 
@@ -307,7 +317,6 @@ def sum_by_key(
     ds: "ray.data.Dataset",
     key_cols: list[str],
     value_cols: list[str],
-    n_buckets: int = 64,
     partial_format: str = "pyarrow",
 ) -> "ray.data.Dataset":
     """Convenience: SUM(value_cols) GROUP BY key_cols, bucketed.
@@ -333,13 +342,12 @@ def sum_by_key(
     def merge(part: pd.DataFrame) -> pd.DataFrame:
         return part.groupby(key_cols, as_index=False, dropna=False)[value_cols].sum()
 
-    return bucketed_groupby(ds, key_cols, partial, merge, n_buckets, partial_format=partial_format)
+    return bucketed_groupby(ds, key_cols, partial, merge, partial_format=partial_format)
 
 
 def count_by_key(
     ds: "ray.data.Dataset",
     key_cols: list[str],
-    n_buckets: int = 64,
     count_col: str = "cnt",
     partial_format: str = "pyarrow",
 ) -> "ray.data.Dataset":
@@ -362,4 +370,4 @@ def count_by_key(
     def merge(part: pd.DataFrame) -> pd.DataFrame:
         return part.groupby(key_cols, as_index=False, dropna=False)[count_col].sum()
 
-    return bucketed_groupby(ds, key_cols, partial, merge, n_buckets, partial_format=partial_format)
+    return bucketed_groupby(ds, key_cols, partial, merge, partial_format=partial_format)

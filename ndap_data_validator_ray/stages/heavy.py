@@ -34,7 +34,7 @@ import ray
 import ray.data
 
 from ndap_data_validator_ray.functions import sketches as sk
-from ndap_data_validator_ray.stages.groupby import default_n_buckets, sum_by_key
+from ndap_data_validator_ray.stages.groupby import sum_by_key
 
 
 def build_countmin(
@@ -65,7 +65,6 @@ def heavy_hitters(
     count_col: str = "cnt",
     width: int = 8192,
     depth: int = 4,
-    n_buckets: int | None = None,
 ) -> "ray.data.Dataset":
     """All keys with exact COUNT(*) >= threshold, as (key, count_col).
 
@@ -87,7 +86,7 @@ def heavy_hitters(
     # exact verify: bucketed sum of the candidate PARTIAL counts (never
     # re-expanded to rows), then the true threshold filter (drops CM
     # false positives)
-    counted = sum_by_key(cand, [key], ["_partial"], n_buckets=n_buckets or default_n_buckets())
+    counted = sum_by_key(cand, [key], ["_partial"])
     return counted.map_batches(
         lambda b: b[b["_partial"] >= threshold].rename(columns={"_partial": count_col}),
         batch_format="pandas",

@@ -47,7 +47,7 @@ import pandas as pd
 
 import ray.data
 
-from ndap_data_validator_ray.stages.groupby import bucketed_groupby, default_n_buckets
+from ndap_data_validator_ray.stages.groupby import bucketed_groupby
 
 _COLS = ["id", "s", "e", "side", "bkt"]
 _MAX_MASK_CELLS = 4_000_000
@@ -98,7 +98,6 @@ def interval_overlap_join(
     start_col: str = "s",
     end_col: str = "e",
     bucket_width: int = 7,
-    n_buckets: int | None = None,
 ) -> pd.DataFrame:
     """All (left, right) interval pairs that overlap (module docstring).
     Both sides need int64 (id_col, start_col, end_col); closed-interval
@@ -106,7 +105,6 @@ def interval_overlap_join(
     qualifying pair."""
     if bucket_width <= 0:
         raise ValueError(f"bucket_width must be positive, got {bucket_width}")
-    nb = n_buckets or default_n_buckets()
     w = int(bucket_width)
 
     tagged = left.map_batches(
@@ -158,7 +156,7 @@ def interval_overlap_join(
             return _EMPTY.copy()
         return pd.concat(outs, ignore_index=True)
 
-    out = bucketed_groupby(tagged, ["bkt"], lambda b: b, probe, n_buckets=nb).to_pandas()
+    out = bucketed_groupby(tagged, ["bkt"], lambda b: b, probe).to_pandas()
     if out.empty:
         return _EMPTY.copy()
     for c in ("id_a", "id_b", "overlap"):

@@ -14,9 +14,9 @@ Use only when BOTH sides are large: a small side should be broadcast with
 ``top_revenue_customers`` / ``customers_without_orders``).
 
 Skew: a hot join key lands in one bucket, but only with its own bucket
-peers; salt hot keys into sub-buckets via ``n_buckets`` scaling or a
-pre-aggregation on one side when semantics allow (the aggregate-join
-queries pre-aggregate the fact side per batch first).
+peers; salt hot keys (``hot_keys``/``salt``) or pre-aggregate one side
+when semantics allow (the aggregate-join queries pre-aggregate the fact
+side per batch first).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import pandas as pd
 
 import ray.data
 
-from ndap_data_validator_ray.stages.groupby import cogroup, default_n_buckets, hash_partitioner
+from ndap_data_validator_ray.stages.groupby import cogroup, hash_partitioner
 
 _SALT_COL = "_salt"
 
@@ -60,7 +60,6 @@ def bucketed_join(
     right: "ray.data.Dataset",
     on: list[str],
     how: str = "inner",
-    n_buckets: int | None = None,
     suffixes: tuple[str, str] = ("", "_r"),
     hot_keys: list | None = None,
     salt: int = 8,
@@ -91,23 +90,23 @@ def bucketed_join(
     (e.g. from ``detect_hot_keys``) and a hot LEFT key's rows are sprayed
     across ``salt`` consecutive buckets while the matching RIGHT rows are
     REPLICATED to all of them — no reducer ever receives more than
-    ~1/salt of a hot key's probe rows.  Only valid for how in
-    inner/left/anti (each left row still meets the full right key-group
-    exactly once; a replicated unmatched right row would duplicate under
-    right/outer).  Assumes the right side is dim-like on hot keys (a
+    ~1/salt of a hot key's probe rows.  Salted legs merge on the key plus
+    the salt offset, so each left row meets exactly one replica of its
+    right key-group even when several offsets share a partition (salt
+    above the exchange's partition count).  Only valid for how in
+    inner/left/anti (a replicated unmatched right row would duplicate
+    under right/outer).  Assumes the right side is dim-like on hot keys (a
     hot x hot join explodes output regardless of partitioning).
     """
 
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    n_buckets = n_buckets or default_n_buckets()
     if hot_keys:
         if len(on) != 1:
             raise ValueError("hot-key salting supports single-column join keys")
         if how not in ("inner", "left", "anti"):
             raise ValueError(f"hot-key salting is not valid for how={how!r}")
-        salt = max(2, min(int(salt), n_buckets))
     hot_arr = np.asarray(sorted(hot_keys)) if hot_keys else None
 
     from ndap_data_validator_ray.stages.schema_util import arrow_field_types
@@ -137,6 +136,7 @@ def bucketed_join(
         out_schema = pa.schema(out_fields)
 
     legs = [(left, left_schema), (right, right_schema)]
+    join_on = on
     if hot_arr is not None:
         # salt: a hot probe row goes to one of ``salt`` consecutive buckets
         # (its _salt offset); the matching build rows are replicated once
@@ -162,13 +162,14 @@ def bucketed_join(
             (left.map_batches(spray, batch_format="pyarrow"), left_schema.append(salt_field)),
             (right.map_batches(replicate, batch_format="pyarrow"), right_schema.append(salt_field)),
         ]
+        join_on = on + [_SALT_COL]
 
-    key_bucket = hash_partitioner(on, n_buckets)
+    key_bucket = hash_partitioner(on)
 
-    def partition_of(batch: pa.Table) -> np.ndarray:
-        base = key_bucket(batch)
+    def partition_of(batch: pa.Table, n: int) -> np.ndarray:
+        base = key_bucket(batch, n)
         if _SALT_COL in batch.column_names:
-            base = (base + batch[_SALT_COL].to_numpy()) % n_buckets
+            base = (base + batch[_SALT_COL].to_numpy()) % n
         # null keys never match anything (SQL equality), so they don't
         # need co-location — spread them round-robin instead of letting
         # every null-keyed row hash into one hot bucket (at scale a
@@ -176,18 +177,18 @@ def bucketed_join(
         null_mask = np.zeros(batch.num_rows, dtype=bool)
         for c in on:
             null_mask |= pc.is_null(batch[c], nan_is_null=True).to_numpy(zero_copy_only=False)
-        return np.where(null_mask, np.arange(batch.num_rows) % n_buckets, base)
+        return np.where(null_mask, np.arange(batch.num_rows) % n, base)
 
     def merge_bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
-        l = lt.select(left_cols).to_pandas()
-        r = rt.select(right_cols).to_pandas()
+        # each side holds only its own columns (plus the salt offset)
+        l, r = lt.to_pandas(), rt.to_pandas()
         if how == "anti":
             # SQL NOT EXISTS semantics: NULL never equals NULL, so a
             # null-keyed probe row has no match and is KEPT (pandas merge
             # would pair NaN with NaN and wrongly drop it)
             null_key = l[on].isna().any(axis=1)
             flagged = l[~null_key].merge(
-                r[on].dropna().drop_duplicates(), on=on, how="left", indicator=True
+                r[join_on].dropna().drop_duplicates(), on=join_on, how="left", indicator=True
             )
             anti = flagged[flagged["_merge"] == "left_only"][left_cols]
             merged = pd.concat([anti, l.loc[null_key, left_cols]]) if null_key.any() else anti
@@ -223,7 +224,7 @@ def bucketed_join(
             if how in ("inner", "right"):
                 ln = l[on].isna().any(axis=1)
                 l = l[~ln] if ln.any() else l
-            merged = l.merge(r, on=on, how=how, suffixes=suffixes)
+            merged = l.merge(r, on=join_on, how=how, suffixes=suffixes)
         return pa.Table.from_pandas(merged[out_schema.names], schema=out_schema, preserve_index=False).replace_schema_metadata(None)
 
-    return cogroup(legs, merge_bucket, partition_of, n_buckets)
+    return cogroup(legs, merge_bucket, partition_of)

@@ -39,7 +39,7 @@ O(nodes) degree fold.
 
 Iterative-loop hygiene (the round-4 invariant): the edge Dataset is
 re-materialized every round and the round count is bounded, so block
-counts stay O(n_buckets) and lineage never grows geometrically.
+counts stay O(reduce tasks) and lineage never grows geometrically.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import pandas as pd
 import ray.data
 
 from ndap_data_validator_ray.stages.broadcast import attach_or_join
-from ndap_data_validator_ray.stages.groupby import count_by_key, default_n_buckets
+from ndap_data_validator_ray.stages.groupby import count_by_key
 from ndap_data_validator_ray.stages.triangles import _canonical_distinct_edges
 
 _EMPTY = pd.DataFrame(
@@ -93,7 +93,6 @@ def k_core(
     dst_col: str = "id_b",
     k: int | None = None,
     rank_of=lambda n: (n + 19) // 20,
-    n_buckets: int | None = None,
     max_rounds: int = 24,
     stats: dict | None = None,
 ) -> tuple[pd.DataFrame, int, int]:
@@ -105,17 +104,12 @@ def k_core(
     ``k=None`` derives k from the initial degree distribution via
     ``rank_of`` (default: exact 5th-percentile order statistic).  Raises
     ``RuntimeError`` if convergence takes more than ``max_rounds`` rounds
-    (the SQL oracle unrolls the same budget).  ``n_buckets`` defaults
-    adaptively from the distinct edge count (the stages/cc.py rule: a toy
-    graph at cluster fan-out pays pure task overhead)."""
-    nb0 = n_buckets or default_n_buckets()
-    e = _canonical_distinct_edges(edges, src_col, dst_col, nb0).materialize()
-    n_e = e.count()
-    if n_e == 0:
+    (the SQL oracle unrolls the same budget)."""
+    e = _canonical_distinct_edges(edges, src_col, dst_col).materialize()
+    if e.count() == 0:
         if stats is not None:
             stats.update({"k": 0, "rounds": 0, "core_edges": 0})
         return _EMPTY.copy(), 0, 0
-    nb = n_buckets or int(min(default_n_buckets(), max(8, n_e // 100_000 + 8)))
 
     def ends(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -123,7 +117,7 @@ def k_core(
         )
 
     deg = count_by_key(
-        e.map_batches(ends, batch_format="pandas"), ["node"], n_buckets=nb, count_col="deg"
+        e.map_batches(ends, batch_format="pandas"), ["node"], count_col="deg"
     ).materialize()
     if k is None:
         k = k_from_degree_quantile(_degree_histogram(deg), rank_of)
@@ -178,7 +172,7 @@ def k_core(
                 stats.update({"k": k, "rounds": rounds, "core_edges": 0})
             return _EMPTY.copy(), k, rounds
         deg = count_by_key(
-            e.map_batches(ends, batch_format="pandas"), ["node"], n_buckets=nb, count_col="deg"
+            e.map_batches(ends, batch_format="pandas"), ["node"], count_col="deg"
         ).materialize()
 
     out = deg.to_pandas()

@@ -31,7 +31,7 @@ import pandas as pd
 
 import ray.data
 
-from ndap_data_validator_ray.stages.groupby import default_n_buckets, exchange, hash_partitioner
+from ndap_data_validator_ray.stages.groupby import exchange, hash_partitioner
 
 _BIN_STRIDE = 1 << 40
 
@@ -69,14 +69,12 @@ def pack_bins(
     id_col: str,
     size_col: str,
     capacity: int,
-    n_buckets: int | None = None,
 ) -> "ray.data.Dataset":
     """Pack every item into a bin of at most ``capacity`` total size.
 
     Output columns: ``id_col``, ``size_col``, ``bin_id`` (globally
     unique), ``overflow`` (1 when a single item exceeds the capacity and
     owns its bin)."""
-    nb = n_buckets or default_n_buckets()
 
     def pack(group: pd.DataFrame, bucket: int) -> pd.DataFrame:
         g = group.sort_values([size_col, id_col], ascending=[False, True], ignore_index=True)
@@ -87,7 +85,6 @@ def pack_bins(
 
     return exchange(
         ds.map_batches(lambda b: b[[id_col, size_col]], batch_format="pandas"),
-        hash_partitioner([id_col], nb),
-        nb,
+        hash_partitioner([id_col]),
         pack,
     )

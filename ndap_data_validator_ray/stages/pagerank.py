@@ -32,7 +32,7 @@ import pandas as pd
 
 import ray.data
 
-from ndap_data_validator_ray.stages.groupby import default_n_buckets, exchange, hash_partitioner
+from ndap_data_validator_ray.stages.groupby import exchange, hash_partitioner
 
 
 def _leg(side: int, k: np.ndarray, v: np.ndarray, x: np.ndarray) -> pd.DataFrame:
@@ -52,7 +52,6 @@ def distributed_pagerank(
     dst_col: str = "id_b",
     iters: int = 5,
     damping: float = 0.85,
-    n_buckets: int | None = None,
 ) -> "ray.data.Dataset":
     """PageRank on the UNDIRECTED (symmetrized) graph of ``edges`` after
     ``iters`` fixed iterations from the uniform start.  Returns a Dataset
@@ -71,7 +70,6 @@ def distributed_pagerank(
         ).drop_duplicates()  # parallel edges collapse (undirected simple graph)
 
     sym = edges.map_batches(sym_map, batch_format="pandas").materialize()
-    nb = n_buckets or int(min(default_n_buckets(), max(8, sym.count() // 100_000 + 8)))
 
     # static per-node out-degree (one exchange of sym on u); cross-block
     # duplicate edges are deduped in the merge
@@ -79,7 +77,7 @@ def distributed_pagerank(
         d = g.drop_duplicates().groupby("u", as_index=False).size()
         return pd.DataFrame({"node": d["u"].to_numpy(), "deg": d["size"].to_numpy().astype(np.int64)})
 
-    degs = exchange(sym, hash_partitioner(["u"], nb), nb, deg_merge)
+    degs = exchange(sym, hash_partitioner(["u"]), deg_merge)
     n_nodes = degs.count()
     if n_nodes == 0:
         return degs.map_batches(
@@ -137,7 +135,7 @@ def distributed_pagerank(
             }
         )
 
-    by_k = hash_partitioner(["k"], nb)
+    by_k = hash_partitioner(["k"])
     for _ in range(iters):
         contribs = exchange(
             [
@@ -145,7 +143,6 @@ def distributed_pagerank(
                 ranks.map_batches(rank_leg, batch_format="pandas"),
             ],
             by_k,
-            nb,
             gather,
         )
         ranks = exchange(
@@ -154,7 +151,6 @@ def distributed_pagerank(
                 degs.map_batches(deg_leg, batch_format="pandas"),
             ],
             by_k,
-            nb,
             fold,
         )
 

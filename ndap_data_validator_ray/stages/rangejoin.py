@@ -5,7 +5,7 @@ Emits one row per (left, right) pair with equal ``by`` keys whose ordered
 values satisfy ``start < left.on <= end`` computed from the right row
 (half-open band, configurable via the caller's derived start/end
 columns).  Both sides go through ``stages/groupby.cogroup`` keyed on
-``hash(by) % B``; each bucket runs a pandas merge + interval filter.
+``hash(by) % R``; each bucket runs a pandas merge + interval filter.
 
 Partitioning assumptions (documented): one ``by`` key's rows co-locate in
 one reducer; per-key match multiplicity is bounded (the per-bucket merge
@@ -28,7 +28,7 @@ import pyarrow as pa
 import ray.data
 
 from ndap_data_validator_ray.stages.asof import _fields
-from ndap_data_validator_ray.stages.groupby import cogroup, default_n_buckets, hash_partitioner
+from ndap_data_validator_ray.stages.groupby import cogroup, hash_partitioner
 
 _BY_COL = "_range_by"
 
@@ -41,12 +41,10 @@ def bucketed_range_join(
     right_by: str,
     right_start: str,
     right_end: str,
-    n_buckets: int | None = None,
 ) -> "ray.data.Dataset":
     """Inner band join: pairs where ``left[on] > right[right_start]`` and
     ``left[on] <= right[right_end]`` with ``left[by] == right[right_by]``.
     Output carries all left columns + the right's non-key columns."""
-    n_buckets = n_buckets or default_n_buckets()
     lf = _fields(left)
     rf = _fields(right)
     left_cols = list(lf)
@@ -80,4 +78,4 @@ def bucketed_range_join(
         keep = (merged[on] > merged[right_start]) & (merged[on] <= merged[right_end])
         return pa.Table.from_pandas(merged.loc[keep, left_cols + right_value_cols], schema=out_schema, preserve_index=False).replace_schema_metadata(None)
 
-    return cogroup(legs, merge_bucket, hash_partitioner([_BY_COL], n_buckets), n_buckets)
+    return cogroup(legs, merge_bucket, hash_partitioner([_BY_COL]))

@@ -40,8 +40,8 @@ C(prefix_df, 2) — the frequency-ascending order keeps prefix_df small
 for common tokens (they sit outside most prefixes); output-dense inputs
 (many true pairs) are inherently O(pairs).  Token groups emit inside one
 reducer each; a pathological hub token degrades that reducer only —
-raise ``n_buckets`` or pre-salt the token, never cap silently (this is
-an EXACT operator; there is no stats-degrade mode by design).
+pre-salt the token, never cap silently (this is an EXACT operator;
+there is no stats-degrade mode by design).
 """
 
 from __future__ import annotations
@@ -54,12 +54,7 @@ import pandas as pd
 import ray.data
 
 from ndap_data_validator_ray.stages.broadcast import attach_or_join
-from ndap_data_validator_ray.stages.groupby import (
-    bucketed_groupby,
-    count_by_key,
-    default_n_buckets,
-    sum_by_key,
-)
+from ndap_data_validator_ray.stages.groupby import bucketed_groupby, count_by_key, sum_by_key
 
 _SEP = "\x1f"
 
@@ -90,7 +85,6 @@ def allpairs_jaccard_join(
     id_col: str,
     token_col: str,
     threshold: float = 0.6,
-    n_buckets: int | None = None,
     as_dataset: bool = False,
 ) -> "pd.DataFrame | ray.data.Dataset":
     """All pairs of sets with Jaccard >= ``threshold`` (module docstring).
@@ -104,7 +98,6 @@ def allpairs_jaccard_join(
     """
     if not (0.0 < threshold <= 1.0):
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    nb0 = n_buckets or default_n_buckets()
 
     def clean(batch: pd.DataFrame) -> pd.DataFrame:
         b = batch.dropna(subset=[id_col, token_col])
@@ -117,18 +110,11 @@ def allpairs_jaccard_join(
         ["id", "tok"],
         lambda b: b,
         lambda g: g.drop_duplicates(),
-        n_buckets=nb0,
     ).materialize()
-    n_rows = distinct.count()
-    if n_rows == 0:
+    if distinct.count() == 0:
         return ray.data.from_pandas(_EMPTY.copy()) if as_dataset else _EMPTY.copy()
-    # adaptive fan-out for the downstream exchanges (the stages/cc.py rule:
-    # O(buckets) task overhead per exchange — toy inputs at cluster-sized
-    # fan-out pay pure orchestration); the dedup above ran at the default
-    # because it faces the raw pre-dedup volume
-    nb = n_buckets or int(min(default_n_buckets(), max(8, n_rows // 100_000 + 8)))
 
-    df = count_by_key(distinct, ["tok"], n_buckets=nb, count_col="df").materialize()
+    df = count_by_key(distinct, ["tok"], count_col="df").materialize()
     with_df = attach_or_join(distinct, df, on_fact="tok", on_side="tok", attach_cols=["df"])
 
     def fold_sets(group: pd.DataFrame) -> pd.DataFrame:
@@ -155,7 +141,7 @@ def allpairs_jaccard_join(
             }
         )
 
-    sets = bucketed_groupby(with_df, ["id"], lambda b: b, fold_sets, n_buckets=nb).materialize()
+    sets = bucketed_groupby(with_df, ["id"], lambda b: b, fold_sets).materialize()
 
     def explode_prefix(batch: pd.DataFrame) -> pd.DataFrame:
         pref = [p.split(_SEP) for p in batch["prefix"]]
@@ -200,9 +186,7 @@ def allpairs_jaccard_join(
     # materialized: verify's first exchange peeks the schema of its union,
     # which would EXECUTE this shuffle-ending pipeline once just for the
     # schema (the repo's join/verify contract — all verify callers do this)
-    cands = bucketed_groupby(
-        prefix_rows, ["tok"], lambda b: b, emit_candidates, n_buckets=nb
-    ).materialize()
+    cands = bucketed_groupby(prefix_rows, ["tok"], lambda b: b, emit_candidates).materialize()
 
     from ndap_data_validator_ray.stages.dedup_near import verify_pairs_distributed
 
@@ -214,7 +198,6 @@ def allpairs_jaccard_join(
         payload_col="payload",
         scorer=_jaccard_scorer,
         score_col="jaccard",
-        n_buckets=nb,
         as_dataset=as_dataset,
     )
     if as_dataset:
@@ -236,7 +219,6 @@ def weighted_cosine_join(
     token_col: str,
     weight_col: str,
     threshold: float,
-    n_buckets: int | None = None,
     round_to: int = 6,
 ) -> pd.DataFrame:
     """Exact WEIGHTED cosine set-similarity self-join — the tf-idf sibling
@@ -275,14 +257,13 @@ def weighted_cosine_join(
     (the queries-module convention); per-element products are IEEE-exact
     twins.
     """
-    nb = n_buckets or default_n_buckets()
 
     def sq(b: pd.DataFrame) -> pd.DataFrame:
         w = b[weight_col].to_numpy(np.float64)
         return pd.DataFrame({"id": b[id_col].to_numpy(np.int64), "_w2": w * w})
 
     norms = sum_by_key(
-        rows.map_batches(sq, batch_format="pandas"), ["id"], ["_w2"], n_buckets=nb
+        rows.map_batches(sq, batch_format="pandas"), ["id"], ["_w2"]
     ).materialize()
 
     def slim(b: pd.DataFrame) -> pd.DataFrame:
@@ -334,8 +315,8 @@ def weighted_cosine_join(
         )
         return part.groupby(["id_a", "id_b"], as_index=False)["p"].sum()
 
-    partials = bucketed_groupby(posting, ["tok"], lambda b: b, pair_partials, n_buckets=nb)
-    totals = sum_by_key(partials, ["id_a", "id_b"], ["p"], n_buckets=nb)
+    partials = bucketed_groupby(posting, ["tok"], lambda b: b, pair_partials)
+    totals = sum_by_key(partials, ["id_a", "id_b"], ["p"])
 
     def keep(b: pd.DataFrame) -> pd.DataFrame:
         c = np.round(b["p"].to_numpy(np.float64), round_to)

@@ -418,9 +418,7 @@ def exact_cosine_topk_pairs(
         return pd.DataFrame({"id_a": out_a, "id_b": out_b, "sim": out_s})
 
     tagged = ds.map_batches(tag, batch_format="pandas")
-    partials = bucketed_groupby(
-        tagged, ["pair_key"], lambda b: b, local_topk, n_buckets=max(8, tiles * tiles)
-    ).to_pandas()
+    partials = bucketed_groupby(tagged, ["pair_key"], lambda b: b, local_topk).to_pandas()
     if partials.empty:
         return pd.DataFrame({"id_a": [], "id_b": [], "sim": [], "rank": []})
     best = partials.sort_values(["sim", "id_a", "id_b"], ascending=[False, True, True]).head(k)
@@ -496,9 +494,7 @@ def exact_cosine_threshold_pairs(
         )
 
     tagged = ds.map_batches(tag, batch_format="pandas")
-    pairs = bucketed_groupby(
-        tagged, ["pair_key"], lambda b: b, thresh_pairs, n_buckets=max(8, tiles * tiles)
-    ).to_pandas()
+    pairs = bucketed_groupby(tagged, ["pair_key"], lambda b: b, thresh_pairs).to_pandas()
     if pairs.empty:
         return pd.DataFrame({"id_a": [], "id_b": [], "sim": []})
     return (

@@ -127,7 +127,7 @@ class _RangePlan:
             group = group.sort_values(order_by, ascending=ascending, kind="stable", ignore_index=True)
             return fold(group, pid)
 
-        return exchange(self.ds, pid_of, self.n_pids, run)
+        return exchange(self.ds, lambda batch, _n: pid_of(batch), run, n_partitions=self.n_pids)
 
 
 def global_rank(

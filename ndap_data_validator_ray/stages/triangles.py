@@ -40,8 +40,7 @@ A single max-out-degree source emits its wedges inside one reducer; if a
 ~10^5-out-degree hub ever dominates, split its dst list across sub-rows
 keyed (src, chunk) before step 4 — the pair emission is associative
 across chunks of the SAME sorted dst array only if chunk pairs are also
-crossed, so prefer raising ``n_buckets`` first (hubs with distinct
-degrees land in distinct buckets).
+crossed.
 
 Node ids must be int64.  Returns (node, triangles) for nodes in >= 1
 triangle — int64, one row per such node.
@@ -55,11 +54,7 @@ import pandas as pd
 import ray.data
 
 from ndap_data_validator_ray.stages.broadcast import attach_or_join
-from ndap_data_validator_ray.stages.groupby import (
-    bucketed_groupby,
-    count_by_key,
-    default_n_buckets,
-)
+from ndap_data_validator_ray.stages.groupby import bucketed_groupby, count_by_key
 from ndap_data_validator_ray.stages.join import bucketed_join
 
 _EMPTY = pd.DataFrame(
@@ -70,9 +65,7 @@ _EMPTY = pd.DataFrame(
 )
 
 
-def _canonical_distinct_edges(
-    edges: "ray.data.Dataset", src_col: str, dst_col: str, n_buckets: int
-) -> "ray.data.Dataset":
+def _canonical_distinct_edges(edges: "ray.data.Dataset", src_col: str, dst_col: str) -> "ray.data.Dataset":
     """(src, dst) rows (any order, dups allowed) -> distinct (u, v) with
     u < v; self-loops and null endpoints dropped.  Dedup is exact: a pair
     hashes to one bucket, so per-bucket drop_duplicates is global."""
@@ -92,7 +85,6 @@ def _canonical_distinct_edges(
         ["u", "v"],
         lambda b: b,
         lambda g: g.drop_duplicates(),
-        n_buckets=n_buckets,
     )
 
 
@@ -100,7 +92,6 @@ def distributed_triangle_counts(
     edges: "ray.data.Dataset",
     src_col: str = "id_a",
     dst_col: str = "id_b",
-    n_buckets: int | None = None,
     return_degrees: bool = False,
 ) -> pd.DataFrame | tuple[pd.DataFrame, pd.DataFrame]:
     """Per-node triangle counts of the undirected simple graph given by
@@ -111,16 +102,7 @@ def distributed_triangle_counts(
     ``return_degrees=True`` additionally returns the (node, deg) fold the
     orientation step already computed — same O(nodes) size class as the
     result — so clustering-coefficient callers don't pay a second raw
-    edge scan + dedup + count exchange for a frame this stage holds.
-
-    ``n_buckets`` defaults ADAPTIVELY from the distinct edge count (the
-    stages/cc.py rule: every exchange pays O(buckets) task overhead, so a
-    toy graph at cluster-sized fan-out spends its wall time on
-    orchestration): ~100k edges per bucket, floor 8, capped at
-    ``default_n_buckets()`` — a 100 TB edge set still gets full cluster
-    fan-out.  The canonicalizing dedup itself runs at the default (it is
-    the one pass that sees the RAW, pre-dedup volume)."""
-    nb0 = n_buckets or default_n_buckets()
+    edge scan + dedup + count exchange for a frame this stage holds."""
 
     _EMPTY_DEG = pd.DataFrame(
         {"node": pd.Series([], dtype=np.int64), "deg": pd.Series([], dtype=np.int64)}
@@ -136,11 +118,9 @@ def distributed_triangle_counts(
         d["deg"] = d["deg"].astype(np.int64)
         return tri, d.sort_values("node").reset_index(drop=True)
 
-    e = _canonical_distinct_edges(edges, src_col, dst_col, nb0).materialize()
-    n_e = e.count()
-    if n_e == 0:
+    e = _canonical_distinct_edges(edges, src_col, dst_col).materialize()
+    if e.count() == 0:
         return _ret(_EMPTY.copy(), None)
-    nb = n_buckets or int(min(default_n_buckets(), max(8, n_e // 100_000 + 8)))
 
     ends = e.map_batches(
         lambda b: pd.DataFrame(
@@ -148,7 +128,7 @@ def distributed_triangle_counts(
         ),
         batch_format="pandas",
     )
-    deg = count_by_key(ends, ["node"], n_buckets=nb, count_col="deg").materialize()
+    deg = count_by_key(ends, ["node"], count_col="deg").materialize()
 
     # Attach both endpoint degrees (broadcast under the cap, bucketed join
     # above it), then orient low-(deg, id) -> high-(deg, id).
@@ -213,16 +193,13 @@ def distributed_triangle_counts(
     # materialized: bucketed_join reads each side's schema up front, which
     # EXECUTES a shuffle-ending pipeline once just for the schema — without
     # this the whole wedge emission runs twice (the repo's join contract)
-    wedges = bucketed_groupby(
-        oriented, ["src"], lambda b: b, emit_wedges, n_buckets=nb
-    ).materialize()
+    wedges = bucketed_groupby(oriented, ["src"], lambda b: b, emit_wedges).materialize()
 
     closed = bucketed_join(
         wedges,
         e.map_batches(lambda b: b.rename(columns={"u": "wu", "v": "wv"}), batch_format="pandas"),
         on=["wu", "wv"],
         how="semi",
-        n_buckets=nb,
     )
 
     corners = closed.map_batches(
@@ -239,7 +216,7 @@ def distributed_triangle_counts(
         ),
         batch_format="pandas",
     )
-    out = count_by_key(corners, ["node"], n_buckets=nb, count_col="triangles").to_pandas()
+    out = count_by_key(corners, ["node"], count_col="triangles").to_pandas()
     if out.empty:
         return _ret(_EMPTY.copy(), deg)
     out["node"] = out["node"].astype(np.int64)

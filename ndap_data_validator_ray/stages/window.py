@@ -35,7 +35,7 @@ import numpy as np
 import pandas as pd
 import ray.data
 
-from ndap_data_validator_ray.stages.groupby import default_n_buckets, exchange, hash_partitioner
+from ndap_data_validator_ray.stages.groupby import exchange, hash_partitioner
 
 _KINDS = (
     "row_number", "rank", "dense_rank", "percent_rank", "cume_dist", "ntile",
@@ -166,7 +166,6 @@ def partitioned_window(
     partition_by: list[str],
     order_by: list[str],
     specs: list[WindowSpec],
-    n_buckets: int | None = None,
 ) -> "ray.data.Dataset":
     """Append window columns to ``ds``.
 
@@ -180,11 +179,8 @@ def partitioned_window(
     for s in specs:
         if s.out in set(partition_by) | set(order_by):
             raise ValueError(f"window output {s.out!r} collides with a key column")
-    nb = n_buckets if n_buckets is not None else default_n_buckets()
-
     return exchange(
         ds,
-        hash_partitioner(partition_by, nb),
-        nb,
+        hash_partitioner(partition_by),
         lambda group, _pid: _apply_specs(group, partition_by, order_by, specs),
     )

@@ -18,6 +18,7 @@ import pyarrow.parquet as pq
 import pytest
 import ray
 
+from ndap_data_validator_ray.stages import groupby
 from ndap_data_validator_ray.stages.asof import bucketed_asof_join
 from ndap_data_validator_ray.stages.groupby import exchange, hash_partitioner, sum_by_key
 from ndap_data_validator_ray.stages.join import bucketed_join
@@ -38,7 +39,7 @@ def test_int_and_float_batches_of_one_key_reach_one_reducer():
     def reduce(group: pd.DataFrame, pid: int) -> pd.DataFrame:
         return pd.DataFrame({"k": group["k"].astype(np.float64), "v": group["v"], "pid": pid})
 
-    out = exchange(ds, hash_partitioner(["k"], 16), 16, reduce).to_pandas()
+    out = exchange(ds, hash_partitioner(["k"]), reduce).to_pandas()
     assert sorted(out["v"]) == [1, 2, 3, 4, 5, 6]
     pids = out.dropna(subset=["k"]).groupby("k")["pid"].nunique()
     assert pids.to_dict() == {1.0: 1, 2.0: 1, 3.0: 1}
@@ -49,7 +50,7 @@ def test_int_and_float_batches_of_one_key_reach_one_reducer():
 def test_sum_by_key_null_keys_form_one_group(partial_format, keys):
     blocks = [pa.table({"k": keys[:3], "v": [1, 2, 3]}), pa.table({"k": keys[3:], "v": [4, 5]})]
     out = sum_by_key(
-        ray.data.from_arrow(blocks), ["k"], ["v"], n_buckets=8, partial_format=partial_format
+        ray.data.from_arrow(blocks), ["k"], ["v"], partial_format=partial_format
     ).to_pandas()
     assert len(out) == 3
     assert out.loc[out["k"].isna(), "v"].tolist() == [6]
@@ -78,7 +79,7 @@ _JOIN_SQL = {
 def test_join_with_an_empty_leg_matches_sql(how, empty):
     l = _LEFT.slice(0, 0) if empty == "left" else _LEFT
     r = _RIGHT.slice(0, 0) if empty == "right" else _RIGHT
-    got = bucketed_join(ray.data.from_arrow(l), ray.data.from_arrow(r), on=["k"], how=how, n_buckets=4)
+    got = bucketed_join(ray.data.from_arrow(l), ray.data.from_arrow(r), on=["k"], how=how)
     con = duckdb.connect()
     con.register("l", l)
     con.register("r", r)
@@ -95,7 +96,7 @@ def test_asof_with_an_empty_leg_matches_sql(empty):
     od = od.slice(0, 0) if empty == "right" else od
     got = bucketed_asof_join(
         ray.data.from_arrow(ev), ray.data.from_arrow(od), on="ts", by="user_id",
-        right_on="o_date", right_by="o_custkey", n_buckets=4,
+        right_on="o_date", right_by="o_custkey",
     )
     con = duckdb.connect()
     con.register("ev", ev)
@@ -107,15 +108,17 @@ def test_asof_with_an_empty_leg_matches_sql(empty):
     assert compare("asof", _collect(got), want) == []
 
 
-def test_pack_bins_ids_are_pinned():
+def test_pack_bins_ids_are_pinned(monkeypatch):
     """bin_id = bucket * 2^40 + local bin.  These values come from the
-    per-stage exchange that ``exchange`` replaced: the partition id the
-    packing reducer receives must still be the same hash bucket."""
+    per-stage exchange that ``exchange`` replaced, with 4 buckets: the
+    partition id the packing reducer receives must still be the same
+    hash bucket."""
+    monkeypatch.setattr(groupby, "_reduce_tasks", lambda _in_bytes: 4)
     ids = np.arange(30, dtype=np.int64)
     sizes = ids * 37 % 53 + 5
     sizes[7] = 150  # larger than the capacity: own bin, overflow=1
     ds = ray.data.from_pandas(pd.DataFrame({"doc_id": ids, "n_tok": sizes}))
-    out = pack_bins(ds, "doc_id", "n_tok", capacity=100, n_buckets=4).to_pandas().sort_values("doc_id")
+    out = pack_bins(ds, "doc_id", "n_tok", capacity=100).to_pandas().sort_values("doc_id")
     bucket_local = [
         (0, 0), (2, 0), (1, 1), (1, 2), (0, 0), (0, 1), (2, 3), (1, 0), (2, 2), (0, 1),
         (2, 0), (0, 1), (3, 0), (1, 2), (0, 0), (0, 2), (2, 2), (2, 1), (2, 3), (0, 2),
@@ -165,14 +168,14 @@ def test_keyed_stages_run_without_a_ray_data_shuffle(no_ray_data_shuffle):
     con.register("facts", facts)
     blocks = [facts.slice(i, 100) for i in range(0, 600, 100)]
 
-    got = sum_by_key(ray.data.from_arrow(blocks), ["k"], ["v"], n_buckets=16).to_pandas()
+    got = sum_by_key(ray.data.from_arrow(blocks), ["k"], ["v"]).to_pandas()
     want = con.execute("SELECT k, SUM(v) AS v FROM facts GROUP BY k").fetchdf()
     assert compare("sum_by_key", got, want) == []
 
     con.register("l", _LEFT)
     con.register("r", _RIGHT)
     for how, sql in _JOIN_SQL.items():
-        got = bucketed_join(ray.data.from_arrow(_LEFT), ray.data.from_arrow(_RIGHT), on=["k"], how=how, n_buckets=4)
+        got = bucketed_join(ray.data.from_arrow(_LEFT), ray.data.from_arrow(_RIGHT), on=["k"], how=how)
         assert compare(how, _collect(got), con.execute(sql).fetchdf()) == [], how
 
     ev = pa.table({"event_id": pa.array([1, 2, 3, 4], pa.int64()), "user_id": pa.array([7, 7, 8, 9], pa.int64()),
@@ -182,7 +185,7 @@ def test_keyed_stages_run_without_a_ray_data_shuffle(no_ray_data_shuffle):
     con.register("od", od)
     got = bucketed_asof_join(
         ray.data.from_arrow(ev), ray.data.from_arrow(od), on="ts", by="user_id",
-        right_on="o_date", right_by="o_custkey", n_buckets=4,
+        right_on="o_date", right_by="o_custkey",
     ).to_pandas()
     want = con.execute(
         "SELECT e.event_id, e.user_id, e.ts, o.o_date FROM ev e ASOF LEFT JOIN od o "
@@ -198,9 +201,9 @@ def test_keyed_stages_run_without_a_ray_data_shuffle(no_ray_data_shuffle):
 
 
 def test_fewer_reduce_tasks_than_partitions_keep_pid_order():
-    """16 partitions on a small input run as one reduce task per CPU; each
-    task still calls the reducer once per non-empty pid, in ascending pid,
-    with its rows in leg/block/row order."""
+    """A fixed domain of 16 partitions on a small input runs as one reduce
+    task per CPU; each task still calls the reducer once per non-empty
+    pid, in ascending pid, with its rows in leg/block/row order."""
     n = 16
     legs = [
         ray.data.from_pandas([pd.DataFrame({"p": (np.arange(40) * 7 + 3 * b + leg) % n, "leg": leg, "b": b,
@@ -213,13 +216,57 @@ def test_fewer_reduce_tasks_than_partitions_keep_pid_order():
         order = list(zip(group["leg"], group["b"], group["row"]))
         return pd.DataFrame({"pid": [pid], "rows": [len(group)], "ordered": [order == sorted(order)]})
 
-    out_ds = exchange(legs, lambda b: b["p"].to_numpy(), n, reduce)
+    out_ds = exchange(legs, lambda b, _n: b["p"].to_numpy(), reduce, n_partitions=n)
     cpus = int(ray.cluster_resources()["CPU"])
     assert cpus < n
     assert out_ds.num_blocks() == cpus
     out = out_ds.to_pandas()
     assert out["pid"].tolist() == list(range(n))
     assert out["rows"].sum() == 240 and out["ordered"].all()
+
+
+@pytest.mark.parametrize("n_tasks", [None, 3])
+def test_the_exchange_owns_the_domain_one_reducer_call_per_task(monkeypatch, n_tasks):
+    """With ``n_partitions`` unset the domain is the reduce-task count R:
+    each task owns one pid, calls ``reduce`` once, and yields one block."""
+    if n_tasks is None:
+        n_tasks = int(ray.cluster_resources()["CPU"])  # R of a small input
+    else:
+        monkeypatch.setattr(groupby, "_reduce_tasks", lambda _in_bytes: n_tasks)
+    ds = ray.data.from_pandas([pd.DataFrame({"k": np.arange(b, 300, 3)}) for b in range(3)])
+
+    def reduce(group: pd.DataFrame, pid: int) -> pd.DataFrame:
+        return pd.DataFrame({"pid": [pid], "rows": [len(group)], "keys": [group["k"].nunique()]})
+
+    out_ds = exchange(ds, hash_partitioner(["k"]), reduce)
+    assert out_ds.num_blocks() == n_tasks
+    out = out_ds.to_pandas()
+    assert out["pid"].tolist() == list(range(n_tasks))
+    assert out["rows"].sum() == 300 and out["keys"].sum() == 300
+
+
+_HOT_LEFT = pa.table({"k": pa.array([7] * 40 + [9] * 12 + [1, 2, 3, None, 5], pa.int64()),
+                      "lv": pa.array(np.arange(57), pa.int64())})
+_HOT_RIGHT = pa.table({"k": pa.array([7, 7, 1, 3, 3, 4], pa.int64()), "rv": pa.array([70, 71, 10, 30, 31, 40], pa.int64())})
+
+
+@pytest.mark.parametrize("n_tasks", [1, 3])
+@pytest.mark.parametrize("how", ["inner", "left", "anti"])
+def test_salt_wider_than_the_domain_keeps_the_join_exact(monkeypatch, how, n_tasks):
+    """Eight salt offsets over 1 or 3 partitions put several replicas of a
+    hot key's build rows in one partition; each probe row must still meet
+    exactly one replica."""
+    monkeypatch.setattr(groupby, "_reduce_tasks", lambda _in_bytes: n_tasks)
+    left = ray.data.from_arrow([_HOT_LEFT.slice(0, 30), _HOT_LEFT.slice(30)])
+    right = ray.data.from_arrow(_HOT_RIGHT)
+    salted = _collect(bucketed_join(left, right, on=["k"], how=how, hot_keys=[7, 9], salt=8))
+    plain = _collect(bucketed_join(left, right, on=["k"], how=how))
+    con = duckdb.connect()
+    con.register("l", _HOT_LEFT)
+    con.register("r", _HOT_RIGHT)
+    want = con.execute(_JOIN_SQL[how].replace("l.a", "l.lv").replace("r.b", "r.rv")).fetchdf()
+    assert compare(how, salted, want) == []
+    assert compare(how, plain, want) == []
 
 
 def test_a_failing_reducer_raises_after_every_task_finished(tmp_path):
@@ -235,7 +282,7 @@ def test_a_failing_reducer_raises_after_every_task_finished(tmp_path):
 
     ds = ray.data.from_pandas(pd.DataFrame({"p": np.arange(16)}))
     with pytest.raises(KeyError):
-        exchange(ds, lambda b: b["p"].to_numpy(), 16, reduce)
+        exchange(ds, lambda b, _n: b["p"].to_numpy(), reduce, n_partitions=16)
     assert marker.exists()
 
 
@@ -243,14 +290,14 @@ def test_a_leg_of_only_zero_row_blocks_is_skipped():
     keyed = ray.data.from_pandas(pd.DataFrame({"k": [1, 2, 3], "v": [1, 2, 3]}))
     # zero-row blocks with no columns: partitioning them would KeyError
     empty = keyed.map_batches(lambda b: pd.DataFrame(), batch_format="pandas")
-    part = hash_partitioner(["k"], 4)
+    part = hash_partitioner(["k"])
 
     def reduce(group: pd.DataFrame, pid: int) -> pd.DataFrame:
         return group
 
-    out = exchange([empty, keyed], part, 4, reduce).to_pandas()
+    out = exchange([empty, keyed], part, reduce).to_pandas()
     assert sorted(out["v"]) == [1, 2, 3]
-    assert exchange(empty, part, 4, reduce).count() == 0
+    assert exchange(empty, part, reduce).count() == 0
 
 
 _Q18_ONE_CPU = """
@@ -286,3 +333,33 @@ def test_q18_completes_on_one_cpu(tmp_path):
         pytest.fail("tpch_q18_large_orders did not finish in 60 s on one CPU")
     assert proc.returncode == 0, err[-2000:]
     assert out.strip().splitlines()[-1] == "[1, 3]"
+
+
+def test_only_curation_and_sort_fix_a_partition_count():
+    """The exchange picks the partition count.  ``curate_documents`` keeps
+    ``n_buckets`` because its bucket id names persisted output, and the
+    range sort passes ``n_partitions`` because its pids are sampled
+    ranges; no other stage or pipeline chooses one."""
+    import ast
+    import importlib
+    import inspect
+    import pkgutil
+
+    import ndap_data_validator_ray.pipelines as pipelines
+    import ndap_data_validator_ray.stages as stages
+
+    with_knob, fixing = set(), set()
+    for pkg in (stages, pipelines):
+        for info in pkgutil.iter_modules(pkg.__path__):
+            mod = importlib.import_module(f"{pkg.__name__}.{info.name}")
+            for name, fn in inspect.getmembers(mod, inspect.isfunction):
+                if fn.__module__ == mod.__name__ and not name.startswith("_"):
+                    if "n_buckets" in inspect.signature(fn).parameters:
+                        with_knob.add(name)
+            for node in ast.walk(ast.parse(inspect.getsource(mod))):
+                for k in node.keywords if isinstance(node, ast.Call) else ():
+                    # cogroup only forwards its own n_partitions to exchange
+                    if k.arg == "n_partitions" and getattr(k.value, "id", None) != "n_partitions":
+                        fixing.add(info.name)
+    assert with_knob == {"curate_documents"}
+    assert fixing == {"sort", "curation"}

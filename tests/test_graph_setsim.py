@@ -30,7 +30,7 @@ def test_triangles_planted():
     pendant = [(4, 50)]
     chain = [(100, 101), (101, 102), (102, 103)]
     edges = pd.DataFrame(k4 + pendant + chain, columns=["id_a", "id_b"])
-    out = distributed_triangle_counts(ray.data.from_pandas(edges).repartition(3), n_buckets=8)
+    out = distributed_triangle_counts(ray.data.from_pandas(edges).repartition(3))
     assert out["node"].tolist() == [1, 2, 3, 4]
     assert out["triangles"].tolist() == [3, 3, 3, 3]
     assert out["node"].dtype == np.int64 and out["triangles"].dtype == np.int64
@@ -58,7 +58,7 @@ def test_triangles_random_vs_brute():
              pd.DataFrame({"id_a": ids[:5], "id_b": ids[:5]})],
             ignore_index=True,
         )
-        got = distributed_triangle_counts(ray.data.from_pandas(noisy).repartition(4), n_buckets=8)
+        got = distributed_triangle_counts(ray.data.from_pandas(noisy).repartition(4))
         pd.testing.assert_frame_equal(got, want)
 
 
@@ -66,11 +66,11 @@ def test_triangles_empty_and_triangle_free():
     from ndap_data_validator_ray.stages.triangles import distributed_triangle_counts
 
     empty = pd.DataFrame({"id_a": pd.Series([], dtype=np.int64), "id_b": pd.Series([], dtype=np.int64)})
-    out = distributed_triangle_counts(ray.data.from_pandas(empty), n_buckets=8)
+    out = distributed_triangle_counts(ray.data.from_pandas(empty))
     assert out.empty and list(out.columns) == ["node", "triangles"]
 
     chain = pd.DataFrame({"id_a": [1, 2, 3], "id_b": [2, 3, 4]})
-    out = distributed_triangle_counts(ray.data.from_pandas(chain), n_buckets=8)
+    out = distributed_triangle_counts(ray.data.from_pandas(chain))
     assert out.empty
 
 
@@ -101,7 +101,7 @@ def test_allpairs_planted():
         [(i, t) for i, s in sets.items() for t in s], columns=["sid", "tok"]
     )
     out = allpairs_jaccard_join(
-        ray.data.from_pandas(rows).repartition(3), "sid", "tok", threshold=0.6, n_buckets=8
+        ray.data.from_pandas(rows).repartition(3), "sid", "tok", threshold=0.6
     )
     assert list(zip(out["id_a"], out["id_b"])) == [(1, 2), (3, 4)]
     assert np.allclose(out["jaccard"].to_numpy(), [0.75, 1.0])
@@ -127,7 +127,7 @@ def test_allpairs_random_vs_brute():
     for t in (0.5, 0.8):
         want = _jac_brute(sets, t).sort_values(["id_a", "id_b"]).reset_index(drop=True)
         got = allpairs_jaccard_join(
-            ray.data.from_pandas(rows).repartition(5), "sid", "tok", threshold=t, n_buckets=8
+            ray.data.from_pandas(rows).repartition(5), "sid", "tok", threshold=t
         )
         assert list(zip(got["id_a"], got["id_b"])) == list(zip(want["id_a"], want["id_b"]))
         assert np.allclose(got["jaccard"].to_numpy(), want["jaccard"].to_numpy())
@@ -140,9 +140,9 @@ def test_allpairs_as_dataset_matches_pandas():
     rows = pd.DataFrame(
         {"sid": rng.integers(0, 25, 200).astype(np.int64), "tok": rng.integers(0, 15, 200)}
     )
-    df = allpairs_jaccard_join(ray.data.from_pandas(rows), "sid", "tok", threshold=0.6, n_buckets=8)
+    df = allpairs_jaccard_join(ray.data.from_pandas(rows), "sid", "tok", threshold=0.6)
     ds = allpairs_jaccard_join(
-        ray.data.from_pandas(rows), "sid", "tok", threshold=0.6, n_buckets=8, as_dataset=True
+        ray.data.from_pandas(rows), "sid", "tok", threshold=0.6, as_dataset=True
     )
     got = (
         ds.to_pandas()
@@ -230,7 +230,6 @@ def test_interval_overlap_random_vs_brute():
             ray.data.from_pandas(a).repartition(3),
             ray.data.from_pandas(b).repartition(2),
             bucket_width=width,
-            n_buckets=8,
         )
         pd.testing.assert_frame_equal(got, want)
 
@@ -243,6 +242,6 @@ def test_interval_overlap_edges():
     a = pd.DataFrame({"id": [1, 2, 3], "s": [0, 100, 50], "e": [10, 110, 40]})
     b = pd.DataFrame({"id": [7, 8], "s": [10, 200], "e": [20, 210]})
     got = interval_overlap_join(
-        ray.data.from_pandas(a), ray.data.from_pandas(b), bucket_width=7, n_buckets=8
+        ray.data.from_pandas(a), ray.data.from_pandas(b), bucket_width=7
     )
     assert list(zip(got["id_a"], got["id_b"], got["overlap"])) == [(1, 7, 0)]

@@ -42,7 +42,7 @@ def test_bucketed_join_semi_matches_sql_exists():
         "SELECT k, lv FROM l WHERE EXISTS (SELECT 1 FROM r WHERE r.k = l.k) ORDER BY lv"
     ).df()
     got = (
-        bucketed_join(ray.data.from_pandas(left), ray.data.from_pandas(right), ["k"], how="semi", n_buckets=4)
+        bucketed_join(ray.data.from_pandas(left), ray.data.from_pandas(right), ["k"], how="semi")
         .to_pandas()
         .sort_values("lv")
         .reset_index(drop=True)
@@ -67,7 +67,7 @@ def test_bucketed_join_outer_matches_sql_full_outer():
         "ORDER BY lv NULLS LAST, rv NULLS LAST"
     ).df()
     joined = bucketed_join(
-        ray.data.from_pandas(left), ray.data.from_pandas(right), ["k"], how="outer", n_buckets=4
+        ray.data.from_pandas(left), ray.data.from_pandas(right), ["k"], how="outer"
     )
     # Arrow schema keeps the int64 key type end-to-end
     sch = joined.schema()
@@ -90,7 +90,7 @@ def test_bucketed_join_outer_coalesces_matched_keys():
     left = pd.DataFrame({"k": np.array([1, 2], dtype=np.int64), "lv": np.int64([0, 1])})
     right = pd.DataFrame({"k": np.array([2, 9], dtype=np.int64), "rv": np.int64([5, 6])})
     got = (
-        bucketed_join(ray.data.from_pandas(left), ray.data.from_pandas(right), ["k"], how="outer", n_buckets=4)
+        bucketed_join(ray.data.from_pandas(left), ray.data.from_pandas(right), ["k"], how="outer")
         .to_pandas()
         .sort_values("k")
         .reset_index(drop=True)
@@ -251,7 +251,7 @@ def test_bucketed_join_null_spray_preserves_semantics():
     for how, sql in cases.items():
         want = con.sql(sql + " ORDER BY lv NULLS LAST, rv NULLS LAST").df()
         got = bucketed_join(
-            ray.data.from_pandas(left), ray.data.from_pandas(right), ["k"], how=how, n_buckets=8
+            ray.data.from_pandas(left), ray.data.from_pandas(right), ["k"], how=how
         ).to_pandas()
         if "rv" not in got.columns:
             got["rv"] = np.nan
@@ -344,7 +344,7 @@ def test_count_by_key_keeps_null_group():
     # int key: SQL keeps NULL as one group
     want = con.sql("SELECT k, COUNT(*) n FROM t GROUP BY k ORDER BY k NULLS LAST").df()
     got = (
-        count_by_key(ray.data.from_pandas(df), ["k"], n_buckets=4, count_col="n")
+        count_by_key(ray.data.from_pandas(df), ["k"], count_col="n")
         .to_pandas()
         .sort_values("k", na_position="last")
         .reset_index(drop=True)
@@ -355,7 +355,7 @@ def test_count_by_key_keeps_null_group():
     # string key: None/NaN both collapse into ONE null group across batches
     want_s = con.sql("SELECT s, COUNT(*) n FROM t GROUP BY s ORDER BY s NULLS LAST").df()
     got_s = (
-        count_by_key(ray.data.from_pandas(df), ["s"], n_buckets=4, count_col="n")
+        count_by_key(ray.data.from_pandas(df), ["s"], count_col="n")
         .to_pandas()
         .sort_values("s", na_position="last")
         .reset_index(drop=True)
@@ -381,7 +381,7 @@ def test_pack_bins_capacity_and_determinism():
     )
     # plant one oversized item
     df.loc[7, "sz"] = 5000
-    got = pack_bins(ray.data.from_pandas(df), "doc_id", "sz", capacity=1024, n_buckets=4).to_pandas()
+    got = pack_bins(ray.data.from_pandas(df), "doc_id", "sz", capacity=1024).to_pandas()
     assert len(got) == 500 and got["doc_id"].is_unique
     fill = got[got["overflow"] == 0].groupby("bin_id")["sz"].sum()
     assert (fill <= 1024).all()
@@ -390,7 +390,7 @@ def test_pack_bins_capacity_and_determinism():
     # oversized item owns its bin
     assert (got["bin_id"] == over["bin_id"].iloc[0]).sum() == 1
     # deterministic across runs
-    again = pack_bins(ray.data.from_pandas(df), "doc_id", "sz", capacity=1024, n_buckets=4).to_pandas()
+    again = pack_bins(ray.data.from_pandas(df), "doc_id", "sz", capacity=1024).to_pandas()
     pd.testing.assert_frame_equal(
         got.sort_values("doc_id").reset_index(drop=True),
         again.sort_values("doc_id").reset_index(drop=True),

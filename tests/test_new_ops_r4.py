@@ -276,7 +276,6 @@ def test_distributed_cc_chain_star_ring_and_isolated():
         distributed_connected_components(
             ray.data.from_pandas(edges).repartition(4),
             nodes=ray.data.from_pandas(nodes),
-            n_buckets=8,
             max_rounds=20,
             small_graph_cap=0,  # pin the DISTRIBUTED rounds (pointer-jump proof)
         )
@@ -302,7 +301,7 @@ def test_distributed_cc_matches_driver_union_find():
     edges = pd.DataFrame({"id_a": a, "id_b": b})
     got = (
         distributed_connected_components(
-            ray.data.from_pandas(edges).repartition(3), n_buckets=8, small_graph_cap=0
+            ray.data.from_pandas(edges).repartition(3), small_graph_cap=0
         )  # cap=0: comparing the DISTRIBUTED rounds against union-find
         .to_pandas()
         .sort_values("node")
@@ -341,7 +340,6 @@ def test_near_dup_clusters_planted():
     comp = (
         distributed_connected_components(
             ray.data.from_pandas(pairs[["id_a", "id_b"]].reset_index(drop=True)).materialize(),
-            n_buckets=8,
         )
         .to_pandas()
         .set_index("node")["component"]

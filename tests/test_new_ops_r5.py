@@ -193,7 +193,7 @@ def test_distributed_pagerank_matches_numpy():
         }
     )
     got = (
-        distributed_pagerank(ray.data.from_pandas(edges).repartition(3), iters=5, damping=0.85, n_buckets=4)
+        distributed_pagerank(ray.data.from_pandas(edges).repartition(3), iters=5, damping=0.85)
         .to_pandas()
         .sort_values("node")
         .reset_index(drop=True)
@@ -377,7 +377,6 @@ def test_cc_small_graph_path_matches_distributed():
                 distributed_connected_components(
                     ray.data.from_pandas(edges).repartition(3),
                     nodes=ray.data.from_pandas(nodes),
-                    n_buckets=8,
                     small_graph_cap=cap,
                 )
                 .to_pandas()
@@ -405,7 +404,6 @@ def test_cc_small_graph_cap_boundary():
             distributed_connected_components(
                 ray.data.from_pandas(edges),
                 nodes=ray.data.from_pandas(nodes),
-                n_buckets=8,
                 small_graph_cap=cap,
             )
             .to_pandas()
@@ -416,7 +414,7 @@ def test_cc_small_graph_cap_boundary():
     empty = pd.DataFrame({"id_a": pd.Series([], dtype=np.int64), "id_b": pd.Series([], dtype=np.int64)})
     out = (
         distributed_connected_components(
-            ray.data.from_pandas(empty), nodes=ray.data.from_pandas(nodes), n_buckets=8
+            ray.data.from_pandas(empty), nodes=ray.data.from_pandas(nodes)
         )
         .to_pandas()
         .sort_values("node")
@@ -1897,7 +1895,7 @@ def test_kcore_planted_clique_survives_chain_peels():
 
     clique = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
     chain = [(4, 10), (10, 11), (11, 12)]
-    core, k, rounds = k_core(_edges_ds(clique + chain), k=3, n_buckets=4)
+    core, k, rounds = k_core(_edges_ds(clique + chain), k=3)
     assert k == 3 and rounds >= 1
     assert core["node"].tolist() == [1, 2, 3, 4]
     assert core["core_deg"].tolist() == [3, 3, 3, 3]
@@ -1910,10 +1908,10 @@ def test_kcore_empty_core_and_max_rounds():
     from ndap_data_validator_ray.stages.kcore import k_core
 
     path = [(i, i + 1) for i in range(12)]
-    core, k, rounds = k_core(_edges_ds(path), k=2, n_buckets=4, max_rounds=24)
+    core, k, rounds = k_core(_edges_ds(path), k=2, max_rounds=24)
     assert core.empty and rounds >= 1
     with pytest.raises(RuntimeError, match="max_rounds"):
-        k_core(_edges_ds([(i, i + 1) for i in range(30)]), k=2, n_buckets=4, max_rounds=3)
+        k_core(_edges_ds([(i, i + 1) for i in range(30)]), k=2, max_rounds=3)
 
 
 def test_kcore_quantile_rule_matches_order_statistic():

@@ -356,7 +356,7 @@ def test_bucketed_join_matches_pandas():
     left = pd.DataFrame({"k": rng.integers(0, 40, 200), "x": rng.integers(0, 9, 200)})
     right = pd.DataFrame({"k": np.arange(0, 50, 2), "name": [f"n{v}" for v in range(0, 50, 2)]})
     got = (
-        bucketed_join(ray.data.from_pandas(left), ray.data.from_pandas(right), on=["k"], how="inner", n_buckets=8)
+        bucketed_join(ray.data.from_pandas(left), ray.data.from_pandas(right), on=["k"], how="inner")
         .to_pandas()
         .sort_values(["k", "x"])
         .reset_index(drop=True)
@@ -449,7 +449,7 @@ def test_bucketed_join_anti_matches_pandas():
     left = pd.DataFrame({"k": rng.integers(0, 60, 300), "x": np.arange(300)})
     right = pd.DataFrame({"k": np.arange(0, 60, 3)})
     got = (
-        bucketed_join(ray.data.from_pandas(left), ray.data.from_pandas(right), on=["k"], how="anti", n_buckets=8)
+        bucketed_join(ray.data.from_pandas(left), ray.data.from_pandas(right), on=["k"], how="anti")
         .to_pandas()
         .sort_values("x")
         .reset_index(drop=True)
@@ -467,7 +467,7 @@ def test_bucketed_join_anti_null_probe_keys_kept():
     left = pd.DataFrame({"k": pd.array([1, 2, None, 4, None], dtype="Int64"), "x": [10, 20, 30, 40, 50]})
     right = pd.DataFrame({"k": pd.array([2, None], dtype="Int64")})
     got = (
-        bucketed_join(ray.data.from_pandas(left), ray.data.from_pandas(right), on=["k"], how="anti", n_buckets=4)
+        bucketed_join(ray.data.from_pandas(left), ray.data.from_pandas(right), on=["k"], how="anti")
         .to_pandas()
         .sort_values("x")
         .reset_index(drop=True)
@@ -595,7 +595,7 @@ def test_bucketed_asof_join_matches_pandas():
         bucketed_asof_join(
             ray.data.from_pandas(left).repartition(6),
             ray.data.from_pandas(right).repartition(3),
-            on="ts", by="uid", right_on="t2", right_by="uid2", n_buckets=8,
+            on="ts", by="uid", right_on="t2", right_by="uid2",
         )
         .to_pandas()
         .sort_values("eid")
@@ -633,7 +633,7 @@ def test_bucketed_asof_join_tie_break_deterministic():
             bucketed_asof_join(
                 ray.data.from_pandas(left),
                 ray.data.from_pandas(right.iloc[perm].reset_index(drop=True)).repartition(2),
-                on="ts", by="uid", right_on="t2", right_by="uid2", n_buckets=4,
+                on="ts", by="uid", right_on="t2", right_by="uid2",
             )
             .to_pandas()
             .sort_values("eid")
@@ -659,7 +659,7 @@ def test_bucketed_range_join_matches_pandas():
         bucketed_range_join(
             ray.data.from_pandas(left).repartition(5),
             ray.data.from_pandas(right).repartition(2),
-            on="v", by="k", right_by="k2", right_start="lo", right_end="hi", n_buckets=8,
+            on="v", by="k", right_by="k2", right_start="lo", right_end="hi",
         )
         .to_pandas()
         .sort_values(["lid", "lo"])
@@ -791,9 +791,9 @@ def test_salted_join_equivalent_and_detects_hot_keys():
     assert hot == [7]
 
     for how in ("inner", "left", "anti"):
-        plain = bucketed_join(lds, rds, ["k"], how=how, n_buckets=16).to_pandas()
+        plain = bucketed_join(lds, rds, ["k"], how=how).to_pandas()
         salted = bucketed_join(
-            lds, rds, ["k"], how=how, n_buckets=16, hot_keys=hot, salt=4
+            lds, rds, ["k"], how=how, hot_keys=hot, salt=4
         ).to_pandas()
         sort_cols = [c for c in ("k", "lv") if c in plain.columns]
         pd.testing.assert_frame_equal(
@@ -826,7 +826,7 @@ def test_bucketed_join_null_keys_sql_semantics():
     ]:
         want = con.sql(sql + " ORDER BY lv NULLS LAST, rv NULLS LAST").df()
         got = bucketed_join(
-            ray.data.from_pandas(left), ray.data.from_pandas(right), ["k"], how=how, n_buckets=4
+            ray.data.from_pandas(left), ray.data.from_pandas(right), ["k"], how=how
         ).to_pandas().sort_values(["lv", "rv"], na_position="last").reset_index(drop=True)
         assert len(got) == len(want), (how, len(got), len(want))
         for col in ("lv", "rv"):

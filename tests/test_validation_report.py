@@ -160,3 +160,37 @@ def test_custom_check_plugin():
     rep = finalize_report(schema, total)
     assert rep["per_column"]["v"]["passed"] is False
     assert "Odd values detected (2 rows)" in rep["per_column"]["v"]["reasons"]
+
+
+_MERGE_BLOB = """
+import hashlib
+from ndap_data_validator_ray.functions.sketches import serialize
+from ndap_data_validator_ray.report import ColumnStats, TableStats
+
+def part(names, checks, rows):
+    cols = {n: ColumnStats(rows=rows, nulls=i, custom_counts={c: i + j for j, c in enumerate(checks)})
+            for i, n in enumerate(names)}
+    return TableStats(columns=cols, rows=rows)
+
+a = part([f"col_{i}" for i in range(0, 24)], [f"check_{i}" for i in range(0, 12)], 5)
+b = part([f"col_{i}" for i in range(12, 36)], [f"check_{i}" for i in range(6, 18)], 7)
+print(hashlib.sha256(serialize(a.merge(b).merge(a))).hexdigest())
+"""
+
+
+def test_merged_stats_blob_does_not_depend_on_the_hash_seed():
+    """Merged stats blobs are byte-identical across interpreter runs with
+    different string hash seeds (set iteration order would change them)."""
+    import os
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    digests = {
+        subprocess.run(
+            [sys.executable, "-c", _MERGE_BLOB], cwd=repo, capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": repo, "PYTHONHASHSEED": seed},
+        ).stdout.strip()
+        for seed in ("1", "2")
+    }
+    assert len(digests) == 1

@@ -7,7 +7,13 @@ import pytest
 
 import ray.data
 
+from ndap_data_validator_ray.stages import groupby
 from ndap_data_validator_ray.stages.window import WindowSpec, partitioned_window
+
+
+def _partitions(monkeypatch, n: int) -> None:
+    """Run every exchange with ``n`` reduce tasks, hence ``n`` partitions."""
+    monkeypatch.setattr(groupby, "_reduce_tasks", lambda _in_bytes: n)
 
 
 def _fixture(n_parts=7, rows_per=23, seed=11) -> pd.DataFrame:
@@ -50,12 +56,11 @@ SPECS = [
 ]
 
 
-def test_all_kinds_match_pandas_oracle():
+def test_all_kinds_match_pandas_oracle(monkeypatch):
+    _partitions(monkeypatch, 5)
     df = _fixture()
     got = (
-        partitioned_window(
-            ray.data.from_pandas(df), ["pk"], ["ord"], SPECS, n_buckets=5
-        )
+        partitioned_window(ray.data.from_pandas(df), ["pk"], ["ord"], SPECS)
         .to_pandas()
         .sort_values(["pk", "ord"], ignore_index=True)
     )
@@ -63,13 +68,13 @@ def test_all_kinds_match_pandas_oracle():
     pd.testing.assert_frame_equal(got[exp.columns.tolist()], exp)
 
 
-def test_integer_dtypes_survive_lag_lead():
+def test_integer_dtypes_survive_lag_lead(monkeypatch):
+    _partitions(monkeypatch, 2)
     df = _fixture(n_parts=3, rows_per=5)
     got = partitioned_window(
         ray.data.from_pandas(df), ["pk"], ["ord"],
         [WindowSpec("lag", col="ival", out="lag_i"),
          WindowSpec("lead", col="ival", out="lead_i")],
-        n_buckets=2,
     ).to_pandas()
     # key/payload ints stay int64; lag/lead ints become nullable Int64 (SQL
     # NULL edges), never float64
@@ -77,7 +82,8 @@ def test_integer_dtypes_survive_lag_lead():
     assert str(got["lag_i"].dtype) == "Int64" and str(got["lead_i"].dtype) == "Int64"
 
 
-def test_multi_column_partition_and_order():
+def test_multi_column_partition_and_order(monkeypatch):
+    _partitions(monkeypatch, 3)
     rng = np.random.default_rng(4)
     df = pd.DataFrame(
         {
@@ -94,7 +100,6 @@ def test_multi_column_partition_and_order():
             [WindowSpec("row_number", out="rn"),
              WindowSpec("rank", out="rnk"),
              WindowSpec("cumsum", col="v", out="cs")],
-            n_buckets=3,
         )
         .to_pandas()
         .sort_values(["a", "b", "t1", "t2"], ignore_index=True)
@@ -108,14 +113,14 @@ def test_multi_column_partition_and_order():
     pd.testing.assert_frame_equal(got[exp.columns.tolist()], exp)
 
 
-def test_rank_ties_follow_sql_min_rank():
+def test_rank_ties_follow_sql_min_rank(monkeypatch):
+    _partitions(monkeypatch, 1)
     # duplicate ORDER BY values inside one partition: RANK() leaves gaps
     df = pd.DataFrame({"pk": [1] * 5, "ord": [10, 10, 20, 20, 30], "row": range(5)})
     got = (
         partitioned_window(
             ray.data.from_pandas(df), ["pk"], ["ord"],
             [WindowSpec("rank", out="rnk"), WindowSpec("dense_rank", out="drnk")],
-            n_buckets=1,
         )
         .to_pandas()
         .sort_values(["ord", "row"], ignore_index=True)
@@ -199,7 +204,6 @@ def test_range_window_matches_duckdb_including_ties():
             WindowSpec(kind="range_sum", out="s_1h", col="v", delta=pd.Timedelta("1h")),
             WindowSpec(kind="range_mean", out="m_1h", col="v", delta=pd.Timedelta("1h")),
         ],
-        n_buckets=4,
     ).to_pandas()
     con = duckdb.connect()
     con.register("t", df)
