@@ -93,16 +93,25 @@ def hash_partitioner(key_cols: list[str]) -> Callable:
     return partition_of
 
 
-# Input bytes one reduce task is sized to take (see ``exchange``).
+# Reduce tasks any exchange gets, CPUs permitting; input bytes that earn
+# one more task, up to the CPU count; and the most one task is sized to
+# take (see ``exchange``).
+EXCHANGE_FLOOR_TASKS = 8
+EXCHANGE_MIN_TASK_BYTES = 4 << 20
 EXCHANGE_TASK_BYTES = 64 << 20
 
 
 def _reduce_tasks(in_bytes: int) -> int:
-    """R, the reduce tasks of one exchange: one per cluster CPU, more
-    when the input exceeds ``EXCHANGE_TASK_BYTES`` per task, at most
-    ``default_n_buckets()``."""
+    """R, the reduce tasks of one exchange: ``EXCHANGE_FLOOR_TASKS``, or
+    one per ``EXCHANGE_MIN_TASK_BYTES`` of input if that is more, at most
+    one per cluster CPU; past the CPUs only when a task would take more
+    than ``EXCHANGE_TASK_BYTES``; never above ``default_n_buckets()``.
+    A small input so never fans out across a big cluster: CC over a
+    15k-node graph, on 4 logical CPUs of one core, took 12 s at R = 8 and
+    41 s at R = 32 (task overhead, not data)."""
     cpus = int(ray.cluster_resources().get("CPU", 1))
-    return int(min(default_n_buckets(), max(cpus, -(-in_bytes // EXCHANGE_TASK_BYTES))))
+    spread = min(cpus, max(EXCHANGE_FLOOR_TASKS, -(-in_bytes // EXCHANGE_MIN_TASK_BYTES)))
+    return int(min(default_n_buckets(), max(spread, -(-in_bytes // EXCHANGE_TASK_BYTES))))
 
 
 def _take(batch, idx: np.ndarray):
@@ -190,11 +199,11 @@ def exchange(
     ``ds`` is one Dataset or a list of legs with one schema;
     ``partition_of(batch, n)`` gives each row an id in ``[0, n)``.  The
     shuffle is a Ray-core split/merge over the legs' blocks with R reduce
-    tasks, R = ``min(default_n_buckets(), max(cluster CPUs, input bytes /
-    EXCHANGE_TASK_BYTES))``, so the fan-out follows the data.  The
-    exchange owns the domain: n = R, one partition per reduce task.  A
-    caller whose ids mean something outside the shuffle (sort ranges, a
-    persisted bucket) fixes n with ``n_partitions``; R is then capped at
+    tasks, sized by ``_reduce_tasks`` from the input bytes and the cluster
+    CPUs, so the fan-out follows the data.  The exchange owns the
+    domain: n = R, one partition per reduce task.  A caller whose ids
+    mean something outside the shuffle (sort ranges, a persisted bucket,
+    packed bin ids) fixes n with ``n_partitions``; R is then capped at
     n and each task owns a contiguous pid range.  One split task per
     non-empty block cuts it into R slices by pid range; reduce task j
     concatenates its slices in leg/block/row order and calls ``reduce``
@@ -236,7 +245,6 @@ def cogroup(
     legs: list[tuple["ray.data.Dataset", "pa.Schema"]],
     reduce: Callable,
     partition_of: Callable,
-    n_partitions: int | None = None,
 ) -> "ray.data.Dataset":
     """Co-partition several Arrow legs: ``reduce(*sides)`` runs once per
     non-empty partition with one Arrow table per leg (the partition
@@ -284,7 +292,7 @@ def cogroup(
         ds.map_batches(pad(i, set(own)), batch_format="pyarrow")
         for i, ((ds, _), own) in enumerate(zip(legs, names))
     ]
-    return exchange(padded, partition_of, split, batch_format="pyarrow", n_partitions=n_partitions)
+    return exchange(padded, partition_of, split, batch_format="pyarrow")
 
 
 def bucketed_groupby(

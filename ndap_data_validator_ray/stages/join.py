@@ -92,8 +92,9 @@ def bucketed_join(
     REPLICATED to all of them — no reducer ever receives more than
     ~1/salt of a hot key's probe rows.  Salted legs merge on the key plus
     the salt offset, so each left row meets exactly one replica of its
-    right key-group even when several offsets share a partition (salt
-    above the exchange's partition count).  Only valid for how in
+    right key-group even when several offsets share a partition.  A salt
+    above the exchange's partition count spreads no further; its extra
+    offsets only cost build-side copies.  Only valid for how in
     inner/left/anti (a replicated unmatched right row would duplicate
     under right/outer).  Assumes the right side is dim-like on hot keys (a
     hot x hot join explodes output regardless of partitioning).

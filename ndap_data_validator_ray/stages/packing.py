@@ -7,13 +7,14 @@ METADATA only — the text/tokens never move); each reducer runs
 best-fit-decreasing over its bucket with a bisect-maintained bin table
 (O(log bins) per item, Python cost bounded by the metadata rows per
 bucket, not by payload bytes).  Bin ids are globally unique by
-construction (``bucket_id * 2^40 + local_bin``), so downstream stages can
-gather a bin's members with one groupby.
+construction (``bucket_id * 2^40 + local_bin``, over a fixed
+``_PACK_BUCKETS`` buckets), so downstream stages can gather a bin's
+members with one groupby.
 
 Determinism: BFD over (size DESC, id ASC) — identical input always packs
-identically, so a resumed run reproduces the same bins (the same
-rerun-stability argument as the engine's deterministic stratified
-sampling).  Items larger than the capacity get a dedicated bin and are
+identically on any cluster, so a resumed run reproduces the same bins
+(the same rerun-stability argument as the engine's deterministic
+stratified sampling).  Items larger than the capacity get a dedicated bin and are
 flagged ``overflow=1`` rather than dropped or silently truncated.
 
 Packing quality note: per-bucket packing wastes at most one partial bin per
@@ -34,6 +35,10 @@ import ray.data
 from ndap_data_validator_ray.stages.groupby import exchange, hash_partitioner
 
 _BIN_STRIDE = 1 << 40
+# The packing domain.  The bucket id is part of every bin id and packing
+# runs per bucket, so a fixed count keeps the bins independent of the
+# cluster and of the input size.
+_PACK_BUCKETS = 16
 
 
 def _ffd_pack(sizes: np.ndarray, capacity: int) -> tuple[np.ndarray, np.ndarray]:
@@ -87,4 +92,5 @@ def pack_bins(
         ds.map_batches(lambda b: b[[id_col, size_col]], batch_format="pandas"),
         hash_partitioner([id_col]),
         pack,
+        n_partitions=_PACK_BUCKETS,
     )

@@ -109,23 +109,24 @@ def test_asof_with_an_empty_leg_matches_sql(empty):
 
 
 def test_pack_bins_ids_are_pinned(monkeypatch):
-    """bin_id = bucket * 2^40 + local bin.  These values come from the
-    per-stage exchange that ``exchange`` replaced, with 4 buckets: the
-    partition id the packing reducer receives must still be the same
-    hash bucket."""
-    monkeypatch.setattr(groupby, "_reduce_tasks", lambda _in_bytes: 4)
+    """bin_id = bucket * 2^40 + local bin over a fixed 16 buckets.  These
+    values are the ones ``pack_bins(n_buckets=16)`` gave before the
+    exchange owned the domain (the count ``pack_documents_bins`` used):
+    the bins must not depend on how many reduce tasks the cluster runs."""
     ids = np.arange(30, dtype=np.int64)
     sizes = ids * 37 % 53 + 5
     sizes[7] = 150  # larger than the capacity: own bin, overflow=1
     ds = ray.data.from_pandas(pd.DataFrame({"doc_id": ids, "n_tok": sizes}))
-    out = pack_bins(ds, "doc_id", "n_tok", capacity=100).to_pandas().sort_values("doc_id")
     bucket_local = [
-        (0, 0), (2, 0), (1, 1), (1, 2), (0, 0), (0, 1), (2, 3), (1, 0), (2, 2), (0, 1),
-        (2, 0), (0, 1), (3, 0), (1, 2), (0, 0), (0, 2), (2, 2), (2, 1), (2, 3), (0, 2),
-        (3, 0), (1, 1), (3, 1), (2, 3), (2, 1), (2, 3), (0, 2), (2, 2), (1, 1), (0, 2),
+        (0, 0), (6, 0), (5, 0), (13, 0), (12, 0), (0, 0), (2, 1), (1, 0), (14, 0), (12, 1),
+        (2, 0), (0, 0), (11, 0), (1, 1), (12, 0), (12, 1), (10, 0), (2, 1), (14, 0), (4, 0),
+        (11, 0), (13, 0), (7, 0), (2, 0), (10, 0), (2, 0), (12, 1), (6, 0), (9, 0), (12, 1),
     ]
-    assert out["bin_id"].tolist() == [b * (1 << 40) + local for b, local in bucket_local]
-    assert out["overflow"].tolist() == [int(i == 7) for i in ids]
+    for n_tasks in (1, 4, 32):
+        monkeypatch.setattr(groupby, "_reduce_tasks", lambda _in_bytes: n_tasks)
+        out = pack_bins(ds, "doc_id", "n_tok", capacity=100).to_pandas().sort_values("doc_id")
+        assert out["bin_id"].tolist() == [b * (1 << 40) + local for b, local in bucket_local], n_tasks
+        assert out["overflow"].tolist() == [int(i == 7) for i in ids]
 
 
 def test_events_last_order_asof_unmatched_event_is_null(tmp_path):
@@ -230,7 +231,7 @@ def test_the_exchange_owns_the_domain_one_reducer_call_per_task(monkeypatch, n_t
     """With ``n_partitions`` unset the domain is the reduce-task count R:
     each task owns one pid, calls ``reduce`` once, and yields one block."""
     if n_tasks is None:
-        n_tasks = int(ray.cluster_resources()["CPU"])  # R of a small input
+        n_tasks = min(int(ray.cluster_resources()["CPU"]), groupby.EXCHANGE_FLOOR_TASKS)  # R of a small input
     else:
         monkeypatch.setattr(groupby, "_reduce_tasks", lambda _in_bytes: n_tasks)
     ds = ray.data.from_pandas([pd.DataFrame({"k": np.arange(b, 300, 3)}) for b in range(3)])
@@ -243,6 +244,25 @@ def test_the_exchange_owns_the_domain_one_reducer_call_per_task(monkeypatch, n_t
     out = out_ds.to_pandas()
     assert out["pid"].tolist() == list(range(n_tasks))
     assert out["rows"].sum() == 300 and out["keys"].sum() == 300
+
+
+@pytest.mark.parametrize(
+    "cpus, in_bytes, want",
+    [
+        (1, 1 << 30, 16),  # past the CPUs only at 64 MiB per task
+        (4, 1 << 20, 4),
+        (4, 1 << 30, 16),
+        (32, 1 << 20, 8),  # a small input stays at the floor
+        (32, 40 << 20, 10),  # one task per 4 MiB up to the CPUs
+        (32, 1 << 30, 32),
+        (32, 4 << 30, 64),
+        (32, 100 << 30, 96),  # default_n_buckets() caps it
+    ],
+)
+def test_reduce_tasks_follow_the_input_not_the_cluster(monkeypatch, cpus, in_bytes, want):
+    monkeypatch.setattr(ray, "is_initialized", lambda: True)
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": float(cpus)})
+    assert groupby._reduce_tasks(in_bytes) == want
 
 
 _HOT_LEFT = pa.table({"k": pa.array([7] * 40 + [9] * 12 + [1, 2, 3, None, 5], pa.int64()),
@@ -337,9 +357,10 @@ def test_q18_completes_on_one_cpu(tmp_path):
 
 def test_only_curation_and_sort_fix_a_partition_count():
     """The exchange picks the partition count.  ``curate_documents`` keeps
-    ``n_buckets`` because its bucket id names persisted output, and the
-    range sort passes ``n_partitions`` because its pids are sampled
-    ranges; no other stage or pipeline chooses one."""
+    ``n_buckets`` because its bucket id names persisted output, the range
+    sort passes ``n_partitions`` because its pids are sampled ranges, and
+    packing because its bucket id is part of every bin id; no other stage
+    or pipeline chooses one."""
     import ast
     import importlib
     import inspect
@@ -358,8 +379,7 @@ def test_only_curation_and_sort_fix_a_partition_count():
                         with_knob.add(name)
             for node in ast.walk(ast.parse(inspect.getsource(mod))):
                 for k in node.keywords if isinstance(node, ast.Call) else ():
-                    # cogroup only forwards its own n_partitions to exchange
-                    if k.arg == "n_partitions" and getattr(k.value, "id", None) != "n_partitions":
+                    if k.arg == "n_partitions":
                         fixing.add(info.name)
     assert with_knob == {"curate_documents"}
-    assert fixing == {"sort", "curation"}
+    assert fixing == {"sort", "curation", "packing"}
