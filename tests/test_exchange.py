@@ -355,7 +355,7 @@ def test_q18_completes_on_one_cpu(tmp_path):
     assert out.strip().splitlines()[-1] == "[1, 3]"
 
 
-def test_only_curation_and_sort_fix_a_partition_count():
+def test_only_sort_packing_and_curation_fix_a_partition_count():
     """The exchange picks the partition count.  ``curate_documents`` keeps
     ``n_buckets`` because its bucket id names persisted output, the range
     sort passes ``n_partitions`` because its pids are sampled ranges, and
